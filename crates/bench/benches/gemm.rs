@@ -419,11 +419,11 @@ fn bench_serve_resnet20(c: &mut Criterion) {
 
 /// Replicated serving scale-out: the same pipelined 32-request stream as
 /// `serve_resnet20` (width-8 ResNet-20, 16x16 inputs, 1-thread MAC RN
-/// engine) against 1 vs 4 worker replicas, router-sharded over CoW
-/// clones of one model. By the serving batch-invariance contract every
-/// worker count answers the same bits per request, so the ratio is pure
-/// serving fan-out; on a single-core host the two largely coincide (the
-/// 4-worker variant additionally pays routing overhead) and the
+/// engine) against 1 vs 4 worker replicas, CoW clones of one model
+/// pulling from one shared admission queue. By the serving
+/// batch-invariance contract every worker count answers the same bits
+/// per request, so the ratio is pure serving fan-out; on a single-core host the two largely coincide (the
+/// 4-worker variant additionally pays queue-lock handoffs) and the
 /// `bench_guard --relative` serve-scaling gate enforces the speedup
 /// floor only on hosts with at least 4 hardware threads.
 fn bench_serve_scaling(c: &mut Criterion) {

@@ -296,14 +296,14 @@ pub fn serve_scaling_stream(workers: usize) -> impl FnMut() -> usize {
     )
     .expect("RN forward engine serves");
     let client = server.client();
-    // Warm every replica's packed-weight path before timing.
+    // Warm the serving path (one request per replica) before timing.
     for s in samples.iter().take(workers.max(1)) {
         client.predict(s.clone()).expect("warmup prediction");
     }
     move || {
         // Owning the server keeps it (and its workers) alive across
         // closure calls; the stream is pipelined so batches form and
-        // the router spreads requests over every replica.
+        // every idle replica pulls from the shared queue.
         debug_assert_eq!(server.workers(), workers);
         let pending: Vec<_> = samples
             .iter()

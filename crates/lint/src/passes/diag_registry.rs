@@ -16,6 +16,11 @@
 //! - (namespace, name) unique → [`codes::DIAG_DUPLICATE_NAME`]
 //! - ids per namespace are contiguous `1..=k` → [`codes::DIAG_GAP`]
 //! - every tag appears in the README → [`codes::DIAG_UNDOCUMENTED`]
+//!
+//! A code is retired, never renumbered: its constant is deleted and its
+//! README row's Meaning cell starts with `*Retired*`. A retired
+//! row still reserves its tag — it counts as declared for contiguity, and
+//! a source site reusing its id or name is a duplicate.
 
 use crate::findings::{codes, Finding};
 use crate::policy;
@@ -42,6 +47,40 @@ impl DiagSite {
     pub fn tag(&self) -> String {
         format!("{}{:04}", self.namespace.to_uppercase(), self.id)
     }
+}
+
+/// Opens the Meaning cell of a README table row whose code is retired.
+const RETIRED_MARKER: &str = "*Retired*";
+
+/// Recovers the retired rows of the README table
+/// (`` | `SERVE0008` | `serve::worker-lost` | *Retired* … | ``) as
+/// sites declared in the README itself.
+fn retired_sites(readme: &str) -> Vec<DiagSite> {
+    let mut out = Vec::new();
+    for (i, line) in readme.lines().enumerate() {
+        let cells: Vec<&str> = line
+            .split('|')
+            .map(|c| c.trim().trim_matches('`'))
+            .collect();
+        let [_, tag, code, meaning, ..] = cells.as_slice() else {
+            continue;
+        };
+        if !meaning.starts_with(RETIRED_MARKER) {
+            continue;
+        }
+        let digits = tag.trim_start_matches(|c: char| c.is_ascii_alphabetic());
+        let (Ok(id), Some((ns, name))) = (digits.parse::<u64>(), code.split_once("::")) else {
+            continue;
+        };
+        out.push(DiagSite {
+            namespace: ns.to_owned(),
+            id,
+            name: name.to_owned(),
+            file: policy::README.to_owned(),
+            line: u32::try_from(i + 1).unwrap_or(u32::MAX),
+        });
+    }
+    out
 }
 
 /// Extracts the `Ctor::new("ns", id, "name")` sites from one file's
@@ -93,10 +132,15 @@ pub fn extract_sites(f: &SourceFile) -> Vec<DiagSite> {
 }
 
 /// Runs the registry checks over all recovered sites plus the README
-/// text the tags must be documented in.
+/// text the tags must be documented in. The README's retired rows join
+/// the registry ahead of the source sites, so reusing one reports at
+/// the source site.
 #[must_use]
 pub fn check(sites: &[DiagSite], readme: &str) -> Vec<Finding> {
     let mut out = Vec::new();
+    let mut all = retired_sites(readme);
+    all.extend_from_slice(sites);
+    let sites = all.as_slice();
     // Duplicates: report at the *later* declaration, pointing back.
     for (i, s) in sites.iter().enumerate() {
         if let Some(prev) = sites[..i]
@@ -253,6 +297,52 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].code, codes::DIAG_GAP);
         assert!(got[0].message.contains("missing 2, 3"));
+    }
+
+    const RETIRED_ROWS: &str = "| Tag | Code | Meaning |\n|---|---|---|\n\
+        | `SERVE0001` | `serve::a` | A |\n\
+        | `SERVE0002` | `serve::lost` | *Retired* — was the router's |\n\
+        | `SERVE0003` | `serve::c` | C |\n";
+
+    #[test]
+    fn retired_row_fills_the_gap_it_leaves() {
+        let sites = vec![site("serve", 1, "a", 1), site("serve", 3, "c", 2)];
+        assert_eq!(
+            retired_sites(RETIRED_ROWS),
+            vec![DiagSite {
+                namespace: "serve".into(),
+                id: 2,
+                name: "lost".into(),
+                file: policy::README.into(),
+                line: 4,
+            }]
+        );
+        assert!(check(&sites, RETIRED_ROWS).is_empty());
+        // Without the marker the row is an ordinary doc line: gap again.
+        let live = RETIRED_ROWS.replace("*Retired* — ", "");
+        let got = check(&sites, &live);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].code, codes::DIAG_GAP);
+        assert!(got[0].message.contains("missing 2"));
+    }
+
+    #[test]
+    fn reusing_a_retired_id_or_name_is_a_duplicate() {
+        let base = [site("serve", 1, "a", 1), site("serve", 3, "c", 2)];
+        let mut sites = base.to_vec();
+        sites.push(site("serve", 2, "fresh", 9));
+        let got = check(&sites, RETIRED_ROWS);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(got[0].code, codes::DIAG_DUPLICATE_ID);
+        assert_eq!((got[0].file.as_str(), got[0].line), ("f.rs", 9));
+        assert!(got[0].message.contains("README.md:4"));
+
+        let mut sites = base.to_vec();
+        sites.push(site("serve", 4, "lost", 9));
+        let got = check(&sites, &format!("{RETIRED_ROWS}SERVE0004"));
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(got[0].code, codes::DIAG_DUPLICATE_NAME);
+        assert_eq!(got[0].line, 9);
     }
 
     #[test]

@@ -148,10 +148,10 @@ pub const UNSAFE_ALLOWED_FILES: &[&str] = &[
 
 /// Files where thread creation is the feature, not a leak: the runtime
 /// worker pool (the *one* place threads come from) and the serving
-/// subsystem (replica workers + router are explicit OS threads by
-/// design; the bitwise batching-invariance contract is proven over
-/// them). Everything else must dispatch through `srmac-runtime` or
-/// carry a `// DETERMINISM-OK:` justification.
+/// subsystem (replica workers pulling from one shared queue are explicit
+/// OS threads by design; the bitwise batching-invariance contract is
+/// proven over them). Everything else must dispatch through
+/// `srmac-runtime` or carry a `// DETERMINISM-OK:` justification.
 pub const SPAWN_ALLOWED_FILES: &[&str] =
     &["crates/runtime/src/pool.rs", "crates/models/src/serve.rs"];
 

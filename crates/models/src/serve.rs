@@ -2,23 +2,25 @@
 //! and latency observability.
 //!
 //! A single [`InferenceServer`] owns `N` worker replicas of one model
-//! ([`ServeConfig::workers`]): a **router** thread pulls requests off a
-//! **bounded** admission queue and shards them across per-worker queues;
-//! each worker assembles its own dynamic batches (up to
-//! [`ServeConfig::max_batch`], dispatching early when its queue runs
-//! dry), runs each batch through the model's prepared-operand GEMM path,
-//! and answers every request with its logits/argmax. Replicas are
-//! copy-on-write clones ([`Sequential::try_clone`]): parameter tensors
-//! are `Arc`-shared and the packed-weight caches are warmed on the
-//! original before cloning, so `N` workers serve one model with **zero
-//! weight duplication** — on a multi-core host, req/s scales with the
-//! worker count because the MAC arithmetic is the bottleneck and each
-//! replica owns a core's worth of it.
+//! ([`ServeConfig::workers`]) that all pull from **one bounded**
+//! admission queue: each worker dequeues a dynamic batch (up to
+//! [`ServeConfig::max_batch`], dispatching early when the queue runs
+//! dry), runs it through the model's prepared-operand GEMM path, and
+//! answers every request with its logits/argmax. Past its first request
+//! a worker keeps draining only while every other worker is busy running
+//! a batch, so an idle replica is never starved by a greedy one. Replicas
+//! are copy-on-write clones ([`Sequential::try_clone`]): parameter
+//! tensors are `Arc`-shared and the packed-weight caches are warmed on
+//! the original before cloning, so `N` workers serve one model with
+//! **zero weight duplication** — on a multi-core host, req/s scales
+//! with the worker count because the MAC arithmetic is the bottleneck
+//! and each replica owns a core's worth of it.
 //!
 //! # Admission control and deadlines
 //!
-//! The admission queue is bounded at [`ServeConfig::queue_depth`]:
-//! when it is full, [`ServeClient::submit`] fails *immediately* with
+//! The admission queue is bounded at [`ServeConfig::queue_depth`], the
+//! exact number of requests that may wait for a worker: when it is full,
+//! [`ServeClient::submit`] fails *immediately* with
 //! [`ServeError::Overloaded`] instead of queueing without bound — the
 //! shed-load contract that keeps tail latency and memory flat when
 //! offered load exceeds capacity. A request may also carry a deadline
@@ -35,11 +37,11 @@
 //! (dispatch → reply) — aggregated into log2-bucketed
 //! [`LatencyHistogram`]s with p50/p95/p99 in [`ServeStats`], which also
 //! counts shed and expired requests and per-worker request totals.
-//! Operational events (worker panics, lost workers, shutdown) become
+//! Operational events (worker panics, shutdown) become
 //! structured, code-tagged [`Diagnostic`]s (see [`codes`]) collected in
 //! a [`DiagSink`] whose handle survives the server — a crashed worker is
-//! *recorded*, never silently swallowed, and additionally flips the
-//! server's poisoned flag ([`InferenceServer::poisoned`]).
+//! *recorded*, never silently swallowed, and flips the server's
+//! poisoned flag ([`InferenceServer::poisoned`]) the moment it dies.
 //!
 //! # The serving determinism contract (unchanged)
 //!
@@ -72,7 +74,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use srmac_tensor::layers::Layer;
@@ -98,14 +100,10 @@ pub mod codes {
     pub const DEADLINE_EXCEEDED: DiagCode = DiagCode::new("serve", 5, "deadline-exceeded");
     /// The model cannot be CoW-replicated for `workers > 1`.
     pub const NOT_REPLICABLE: DiagCode = DiagCode::new("serve", 6, "not-replicable");
-    /// A worker (or the router) thread panicked; recorded at join.
+    /// A worker thread panicked; recorded at join.
     pub const WORKER_PANIC: DiagCode = DiagCode::new("serve", 7, "worker-panic");
-    /// The router found a worker's queue disconnected mid-serve (the
-    /// worker died without a shutdown marker) and rerouted around it.
-    pub const WORKER_LOST: DiagCode = DiagCode::new("serve", 8, "worker-lost");
-    /// A worker's queue disconnected without a shutdown marker — the
-    /// router vanished; the worker served what it had and stopped.
-    pub const ROUTER_VANISHED: DiagCode = DiagCode::new("serve", 9, "router-vanished");
+    // Ids 8 (`worker-lost`) and 9 (`router-vanished`) are retired:
+    // reserved by their README rows, never reused.
     /// Clean shutdown: totals for the whole serving session.
     pub const SHUTDOWN: DiagCode = DiagCode::new("serve", 10, "shutdown");
 }
@@ -120,15 +118,17 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Hard cap on assembled batch size (per worker).
     pub max_batch: usize,
-    /// When a worker's queue runs dry with fewer than this many requests
-    /// in the batch, the assembler waits [`ServeConfig::straggler_wait`]
-    /// for more before dispatching; at or above it, it dispatches
+    /// When the queue runs dry with fewer than this many requests in the
+    /// batch, the assembler waits [`ServeConfig::straggler_wait`] for
+    /// more before dispatching; at or above it, it dispatches
     /// immediately. `1` dispatches as soon as the queue empties
     /// (latency-first).
     pub max_wait_items: usize,
     /// How long to wait for stragglers below `max_wait_items`.
     pub straggler_wait: Duration,
-    /// Capacity of the bounded admission queue. When it is full,
+    /// Capacity of the bounded admission queue — the exact number of
+    /// admitted requests that may wait for a worker (requests a worker
+    /// has already dequeued do not count). When it is full,
     /// [`ServeClient::submit`] sheds the request with
     /// [`ServeError::Overloaded`] instead of queueing without bound.
     pub queue_depth: usize,
@@ -199,7 +199,7 @@ pub enum ServeError {
     /// A serving thread panicked; the panic was recorded in the server's
     /// diagnostics (code `serve::worker-panic`) rather than swallowed.
     WorkerPanicked {
-        /// Thread name (`srmac-serve-3`, `srmac-serve-router`).
+        /// Thread name of the worker (`srmac-serve-3`).
         thread: String,
         /// The panic payload, when it was a string.
         message: String,
@@ -435,7 +435,7 @@ impl LatencyHistogram {
 }
 
 /// Counters and latency histograms for one serving session, merged
-/// across the router and every worker at shutdown.
+/// across every worker at shutdown.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
     /// Requests answered with a prediction.
@@ -524,31 +524,13 @@ struct Request {
 
 /// Admission-queue protocol: requests, or the explicit stop marker.
 /// Clients may outlive the server (their sender clones keep the channel
-/// open), so the router stops on this marker — never by waiting for
-/// disconnection. The channel is ordered, so every request admitted
-/// before shutdown is routed (and served) before the marker is seen.
+/// open), so a worker stops on this marker — never by waiting for
+/// disconnection. Shutdown enqueues one marker per worker; the channel
+/// is ordered and each worker stops at the first marker it dequeues, so
+/// every request admitted before shutdown is served first.
 enum Msg {
     Request(Request),
     Shutdown,
-}
-
-/// Per-worker queue protocol: the router forwards requests and fans the
-/// shutdown marker out to every worker lane. A worker that sees its lane
-/// *disconnect* without a marker knows the router died abnormally — the
-/// two conditions are deliberately distinct (see [`StopReason`]).
-enum WorkerMsg {
-    Request(Request),
-    Shutdown,
-}
-
-/// Why a worker's serve loop ended. `Marker` is the deliberate path;
-/// `Disconnected` means the lane hung up without a marker (the router
-/// vanished mid-serve) — reported as a `serve::router-vanished` warning
-/// so an abnormal stop is never mistaken for a clean one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StopReason {
-    Marker,
-    Disconnected,
 }
 
 /// One request staged in a worker's batch, stamped when it joined.
@@ -557,37 +539,28 @@ struct Pending {
     joined: Instant,
 }
 
-#[derive(Default)]
-struct WorkerStats {
-    requests: usize,
-    batches: usize,
-    max_batch_seen: usize,
-    expired: usize,
-    queue_wait: LatencyHistogram,
-    batch_assembly: LatencyHistogram,
-    inference: LatencyHistogram,
-}
-
 /// What a worker thread hands back at join: its model (worker 0 owns
-/// the original; others own CoW replicas), its local stats, and why it
-/// stopped.
+/// the original; others own CoW replicas) and its own stats (the
+/// session-wide fields stay zero until [`InferenceServer`] merges them).
 struct WorkerExit {
     model: Sequential,
-    stats: WorkerStats,
-    reason: StopReason,
+    stats: ServeStats,
 }
 
-#[derive(Default)]
-struct RouterOutcome {
-    /// Requests answered `DeadlineExceeded` by the router before
-    /// reaching any worker lane.
-    expired: usize,
-    /// Requests answered `Closed` because no live worker remained.
-    refused: usize,
+/// Flips the server's poisoned flag when the worker thread owning it
+/// unwinds, so a crash is visible the moment it happens, not at join.
+struct PoisonOnUnwind(Arc<AtomicBool>);
+
+impl Drop for PoisonOnUnwind {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
 }
 
 /// A replicated, micro-batching inference server: owns `workers` model
-/// replicas behind a router and a bounded admission queue, and serves
+/// replicas pulling from one bounded admission queue, and serves
 /// cloneable [`ServeClient`] handles.
 ///
 /// # Example
@@ -619,7 +592,6 @@ struct RouterOutcome {
 #[derive(Debug)]
 pub struct InferenceServer {
     tx: Option<mpsc::SyncSender<Msg>>,
-    router: Option<std::thread::JoinHandle<RouterOutcome>>,
     workers: Vec<std::thread::JoinHandle<WorkerExit>>,
     sample_len: usize,
     worker_count: usize,
@@ -632,7 +604,7 @@ pub struct InferenceServer {
 impl InferenceServer {
     /// Takes ownership of `model` (expecting `[B, 3, s, s]` inputs with
     /// `s = image_size`), builds `cfg.workers - 1` CoW replicas, and
-    /// starts the router and worker threads.
+    /// starts one thread per worker.
     ///
     /// The batch-invariance guard runs on **this** path too: the engines
     /// the model actually carries are inspected via
@@ -681,33 +653,31 @@ impl InferenceServer {
         }
         models.insert(0, model);
 
-        // Worker lanes are bounded too, so admission-queue backpressure
-        // propagates instead of evaporating into unbounded lane queues.
-        let lane_depth = cfg.max_batch.max(cfg.queue_depth.div_ceil(cfg.workers));
-        let mut lanes = Vec::with_capacity(cfg.workers);
+        // The receiver is shared only by the workers: once the last one
+        // exits (or dies), it drops and `submit` fails `Closed` at once.
+        let (tx, rx) = mpsc::sync_channel::<Msg>(cfg.queue_depth);
+        let rx = Arc::new(Mutex::new(rx));
+        let busy = Arc::new(AtomicUsize::new(0));
         let mut workers = Vec::with_capacity(cfg.workers);
         for (i, m) in models.into_iter().enumerate() {
-            let (ltx, lrx) = mpsc::sync_channel::<WorkerMsg>(lane_depth);
-            let worker_sink = sink.clone();
+            let (rx, busy) = (Arc::clone(&rx), Arc::clone(&busy));
+            let poison = PoisonOnUnwind(Arc::clone(&poisoned));
             let handle = std::thread::Builder::new()
                 .name(format!("srmac-serve-{i}"))
-                .spawn(move || worker_loop(m, image_size, cfg, &lrx, &worker_sink, i))
+                .spawn(move || {
+                    // Locals drop in reverse, so the queue handle is gone
+                    // before the guard poisons: a dead last worker reads
+                    // `Closed` to anyone who has seen `poisoned()`.
+                    let _poison = poison;
+                    let rx = rx;
+                    worker_loop(m, image_size, cfg, &rx, &busy)
+                })
                 .expect("spawn serve worker"); // PANIC-OK: failing to spawn a worker at startup is unrecoverable — abort before serving.
-            lanes.push(ltx);
             workers.push(handle);
         }
 
-        let (tx, rx) = mpsc::sync_channel::<Msg>(cfg.queue_depth);
-        let router_sink = sink.clone();
-        let router_poisoned = Arc::clone(&poisoned);
-        let router = std::thread::Builder::new()
-            .name("srmac-serve-router".into())
-            .spawn(move || router_loop(&rx, lanes, &router_sink, &router_poisoned))
-            .expect("spawn serve router"); // PANIC-OK: same — no router, no server.
-
         Ok(Self {
             tx: Some(tx),
-            router: Some(router),
             workers,
             sample_len,
             worker_count: cfg.workers,
@@ -780,18 +750,18 @@ impl InferenceServer {
         self.sink.snapshot()
     }
 
-    /// True once any serving thread has died abnormally (a panicked
-    /// worker detected by the router mid-serve, or recorded at join).
-    /// The corresponding `serve::worker-panic` / `serve::worker-lost`
-    /// diagnostics carry the details.
+    /// True once any worker thread has died abnormally. The flag flips
+    /// as the worker unwinds, with no further traffic needed; the
+    /// `serve::worker-panic` diagnostic recorded at join carries the
+    /// details.
     #[must_use]
     pub fn poisoned(&self) -> bool {
         self.poisoned.load(Ordering::SeqCst)
     }
 
     /// Stops every worker after all already-admitted requests have been
-    /// served (the admission and lane queues are ordered, and the
-    /// shutdown marker trails them), and returns the original model with
+    /// served (the admission queue is ordered, and one shutdown marker
+    /// per worker trails them), and returns the original model with
     /// the merged serving stats. Clients that submit afterwards get
     /// [`ServeError::Closed`].
     ///
@@ -829,13 +799,15 @@ impl InferenceServer {
         err
     }
 
-    /// Sends the shutdown marker, joins the router and every worker,
-    /// merges their stats, and records (never swallows) any panic.
+    /// Sends one shutdown marker per worker, joins every worker, merges
+    /// their stats, and records (never swallows) any panic.
     /// Idempotent: both [`InferenceServer::shutdown`] and `Drop` call
     /// it; the second call finds nothing left to do.
     fn reap(&mut self) -> (Option<Sequential>, ServeStats, Option<ServeError>) {
         if let Some(tx) = self.tx.take() {
-            let _ = tx.send(Msg::Shutdown);
+            // Stops at the first failed send: every worker is gone and the
+            // receiver dropped, so nobody is left to stop.
+            let _ = (0..self.workers.len()).try_for_each(|_| tx.send(Msg::Shutdown));
         }
         let mut stats = ServeStats {
             workers: self.worker_count,
@@ -843,18 +815,8 @@ impl InferenceServer {
             ..ServeStats::default()
         };
         let mut failure: Option<ServeError> = None;
-        if let Some(router) = self.router.take() {
-            match router.join() {
-                Ok(outcome) => stats.expired += outcome.expired,
-                Err(payload) => {
-                    let err = self.record_panic("srmac-serve-router", payload.as_ref());
-                    failure.get_or_insert(err);
-                }
-            }
-        }
         let mut model = None;
-        let handles: Vec<_> = self.workers.drain(..).collect();
-        for (i, handle) in handles.into_iter().enumerate() {
+        for (i, handle) in std::mem::take(&mut self.workers).into_iter().enumerate() {
             match handle.join() {
                 Ok(exit) => {
                     stats.requests += exit.stats.requests;
@@ -865,10 +827,6 @@ impl InferenceServer {
                     stats.queue_wait.merge(&exit.stats.queue_wait);
                     stats.batch_assembly.merge(&exit.stats.batch_assembly);
                     stats.inference.merge(&exit.stats.inference);
-                    debug_assert!(matches!(
-                        exit.reason,
-                        StopReason::Marker | StopReason::Disconnected
-                    ));
                     if i == 0 {
                         model = Some(exit.model);
                     }
@@ -1028,217 +986,83 @@ impl ServeClient {
     }
 }
 
-/// The router: pulls admitted requests off the bounded queue and shards
-/// them across worker lanes round-robin, skipping full lanes (and, when
-/// every live lane is full, blocking on one so backpressure propagates
-/// to admission instead of evaporating). Expired deadlines are answered
-/// here without touching any lane; a disconnected lane means its worker
-/// died — the router records the loss, poisons the server, and reroutes.
-fn router_loop(
-    rx: &mpsc::Receiver<Msg>,
-    lanes: Vec<mpsc::SyncSender<WorkerMsg>>,
-    sink: &DiagSink,
-    poisoned: &AtomicBool,
-) -> RouterOutcome {
-    let mut lanes: Vec<Option<mpsc::SyncSender<WorkerMsg>>> = lanes.into_iter().map(Some).collect();
-    let mut outcome = RouterOutcome::default();
-    let mut next = 0usize;
-    // The marker is the deliberate stop; a disconnect of every admission
-    // sender (server and all clients gone) is treated the same — nothing
-    // can submit anymore.
-    while let Ok(Msg::Request(req)) = rx.recv() {
-        route(req, &mut lanes, &mut next, &mut outcome, sink, poisoned);
-    }
-    for lane in lanes.iter().flatten() {
-        let _ = lane.send(WorkerMsg::Shutdown);
-    }
-    outcome
-}
-
-/// Marks a worker lane dead (its receiver disconnected without a
-/// shutdown marker: the worker panicked mid-serve).
-fn lose_lane(
-    lanes: &mut [Option<mpsc::SyncSender<WorkerMsg>>],
-    idx: usize,
-    sink: &DiagSink,
-    poisoned: &AtomicBool,
-) {
-    lanes[idx] = None;
-    poisoned.store(true, Ordering::SeqCst);
-    sink.emit(
-        Diagnostic::new(
-            Severity::Error,
-            codes::WORKER_LOST,
-            format!("worker {idx} queue disconnected mid-serve (worker died); rerouting"),
-        )
-        .field("worker", idx.to_string()),
-    );
-}
-
-fn route(
-    mut req: Request,
-    lanes: &mut [Option<mpsc::SyncSender<WorkerMsg>>],
-    next: &mut usize,
-    outcome: &mut RouterOutcome,
-    sink: &DiagSink,
-    poisoned: &AtomicBool,
-) {
-    let now = Instant::now();
-    if let Some(deadline) = req.deadline {
-        if now > deadline {
-            outcome.expired += 1;
-            let _ = req.reply.send(Err(ServeError::DeadlineExceeded {
-                missed_by: now - deadline,
-            }));
-            return;
-        }
-    }
-    let n = lanes.len();
-    loop {
-        // Pass 1: round-robin try_send over live lanes.
-        let mut first_full = None;
-        for i in 0..n {
-            let idx = (*next + i) % n;
-            if lanes[idx].is_none() {
-                continue;
-            }
-            match lanes[idx]
-                .as_ref()
-                .expect("live lane") // PANIC-OK: idx was drawn from the live-lane scan above.
-                .try_send(WorkerMsg::Request(req))
-            {
-                Ok(()) => {
-                    *next = (idx + 1) % n;
-                    return;
-                }
-                Err(mpsc::TrySendError::Full(WorkerMsg::Request(r))) => {
-                    req = r;
-                    if first_full.is_none() {
-                        first_full = Some(idx);
-                    }
-                }
-                Err(mpsc::TrySendError::Disconnected(WorkerMsg::Request(r))) => {
-                    req = r;
-                    lose_lane(lanes, idx, sink, poisoned);
-                }
-                Err(_) => unreachable!("router only forwards requests"),
-            }
-        }
-        // Pass 2: every live lane is full — block on one, so the
-        // admission queue (and with it the clients) feels backpressure.
-        match first_full {
-            Some(idx) => {
-                match lanes[idx]
-                    .as_ref()
-                    .expect("live lane") // PANIC-OK: first_full indexes a lane observed live in pass 1.
-                    .send(WorkerMsg::Request(req))
-                {
-                    Ok(()) => {
-                        *next = (idx + 1) % n;
-                        return;
-                    }
-                    Err(mpsc::SendError(WorkerMsg::Request(r))) => {
-                        req = r;
-                        lose_lane(lanes, idx, sink, poisoned);
-                        // Retry the surviving lanes.
-                    }
-                    Err(_) => unreachable!("router only forwards requests"),
-                }
-            }
-            None => {
-                // No live worker remains: refuse rather than strand.
-                outcome.refused += 1;
-                let _ = req.reply.send(Err(ServeError::Closed));
-                return;
-            }
-        }
-    }
-}
-
-/// One worker: block for the first request on its lane, greedily drain
-/// up to `max_batch` (briefly waiting for stragglers below
-/// `max_wait_items`), run the batch through its replica, reply per
-/// request — and stop *deliberately*: on the shutdown marker
-/// ([`StopReason::Marker`]), or on lane disconnect without a marker
-/// ([`StopReason::Disconnected`], reported as `serve::router-vanished`).
-/// A straggler-wait timeout dispatches the partial batch and keeps
-/// serving; it is never conflated with disconnection.
+/// One worker: take the queue lock, block for a first request, then
+/// drain up to `max_batch` (briefly waiting for stragglers below
+/// `max_wait_items`) while every other worker is busy running a batch;
+/// release the lock, run the batch through its replica and reply per
+/// request. With one worker the drain is always greedy; with several, an
+/// idle replica gets the next request instead. The worker stops on the
+/// shutdown marker, or when every sender hung up. A straggler-wait
+/// timeout dispatches the partial batch and keeps serving; it is never
+/// conflated with disconnection.
 fn worker_loop(
     mut model: Sequential,
     image_size: usize,
     cfg: ServeConfig,
-    rx: &mpsc::Receiver<WorkerMsg>,
-    sink: &DiagSink,
-    worker: usize,
+    rx: &Mutex<mpsc::Receiver<Msg>>,
+    busy: &AtomicUsize,
 ) -> WorkerExit {
-    let mut stats = WorkerStats::default();
+    let mut stats = ServeStats::default();
     let mut batch: Vec<Pending> = Vec::with_capacity(cfg.max_batch);
     // One reused input tensor, exactly like the trainer's evaluate loop:
     // only a batch-size change reshapes it.
     let mut x = Tensor::zeros(&[1, 3, image_size, image_size]);
-    let mut reason = None;
-    while reason.is_none() {
-        match rx.recv() {
-            Ok(WorkerMsg::Request(r)) => admit(r, &mut batch, &mut stats),
-            Ok(WorkerMsg::Shutdown) => reason = Some(StopReason::Marker),
-            Err(_) => reason = Some(StopReason::Disconnected),
+    let mut stop = false;
+    while !stop {
+        // Inference runs after the lock is released, so no model panic
+        // can poison it; a poisoned lock still guards a sound receiver.
+        let queue = rx.lock().unwrap_or_else(PoisonError::into_inner);
+        stop = assemble(&queue, cfg, busy, &mut batch, &mut stats);
+        drop(queue);
+        if !batch.is_empty() {
+            // A worker that panics in here never lowers the count: a dead
+            // replica is never idle, so the survivors keep draining.
+            busy.fetch_add(1, Ordering::SeqCst);
+            run_batch(&mut model, &mut x, image_size, &mut batch, &mut stats);
+            busy.fetch_sub(1, Ordering::SeqCst);
         }
-        while batch.len() < cfg.max_batch && reason.is_none() {
-            match rx.try_recv() {
-                Ok(WorkerMsg::Request(r)) => admit(r, &mut batch, &mut stats),
-                Ok(WorkerMsg::Shutdown) => reason = Some(StopReason::Marker),
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    reason = Some(StopReason::Disconnected);
+    }
+    WorkerExit { model, stats }
+}
+
+/// Fills `batch` from the locked queue (see [`worker_loop`]). Returns
+/// true when the worker must stop after serving what it holds: the
+/// shutdown marker was dequeued, or every sender hung up.
+fn assemble(
+    rx: &mpsc::Receiver<Msg>,
+    cfg: ServeConfig,
+    busy: &AtomicUsize,
+    batch: &mut Vec<Pending>,
+    stats: &mut ServeStats,
+) -> bool {
+    match rx.recv() {
+        Ok(Msg::Request(r)) => admit(r, batch, stats),
+        Ok(Msg::Shutdown) | Err(_) => return true,
+    }
+    while batch.len() < cfg.max_batch && busy.load(Ordering::SeqCst) + 1 >= cfg.workers {
+        match rx.try_recv() {
+            Ok(Msg::Request(r)) => admit(r, batch, stats),
+            Ok(Msg::Shutdown) | Err(mpsc::TryRecvError::Disconnected) => return true,
+            Err(mpsc::TryRecvError::Empty) => {
+                if batch.len() >= cfg.max_wait_items {
+                    break;
                 }
-                Err(mpsc::TryRecvError::Empty) => {
-                    if batch.len() >= cfg.max_wait_items {
-                        break;
-                    }
-                    match rx.recv_timeout(cfg.straggler_wait) {
-                        Ok(WorkerMsg::Request(r)) => admit(r, &mut batch, &mut stats),
-                        Ok(WorkerMsg::Shutdown) => reason = Some(StopReason::Marker),
-                        // A timeout dispatches what we have and keeps
-                        // serving; a disconnect is an explicit stop.
-                        // The two are distinct on purpose — the old loop
-                        // collapsed them (`Err(_) => break`) and relied
-                        // on the next outer recv to notice the hangup.
-                        Err(mpsc::RecvTimeoutError::Timeout) => break,
-                        Err(mpsc::RecvTimeoutError::Disconnected) => {
-                            reason = Some(StopReason::Disconnected);
-                        }
-                    }
+                match rx.recv_timeout(cfg.straggler_wait) {
+                    Ok(Msg::Request(r)) => admit(r, batch, stats),
+                    Ok(Msg::Shutdown) | Err(mpsc::RecvTimeoutError::Disconnected) => return true,
+                    // A timeout dispatches what we have and keeps serving.
+                    Err(mpsc::RecvTimeoutError::Timeout) => break,
                 }
             }
         }
-        if !batch.is_empty() {
-            run_batch(&mut model, &mut x, image_size, &mut batch, &mut stats);
-        }
     }
-    let reason = reason.expect("loop exits with a reason"); // PANIC-OK: every loop exit assigned a StopReason.
-    if reason == StopReason::Disconnected {
-        sink.emit(
-            Diagnostic::new(
-                Severity::Warning,
-                codes::ROUTER_VANISHED,
-                format!(
-                    "worker {worker} stopping: lane disconnected without a shutdown marker \
-                     (router vanished)"
-                ),
-            )
-            .field("worker", worker.to_string()),
-        );
-    }
-    WorkerExit {
-        model,
-        stats,
-        reason,
-    }
+    false
 }
 
-/// Stages one routed request into the batch — unless its deadline has
+/// Stages one dequeued request into the batch — unless its deadline has
 /// already passed, in which case it is answered right here, without
 /// touching the model.
-fn admit(req: Request, batch: &mut Vec<Pending>, stats: &mut WorkerStats) {
+fn admit(req: Request, batch: &mut Vec<Pending>, stats: &mut ServeStats) {
     let now = Instant::now();
     if let Some(deadline) = req.deadline {
         if now > deadline {
@@ -1257,7 +1081,7 @@ fn run_batch(
     x: &mut Tensor,
     image_size: usize,
     batch: &mut Vec<Pending>,
-    stats: &mut WorkerStats,
+    stats: &mut ServeStats,
 ) {
     let b = batch.len();
     let plane = 3 * image_size * image_size;
@@ -1469,8 +1293,7 @@ mod tests {
         // (`Err(_) => break`), leaving the worker to discover the hangup
         // on its next outer recv. The worker must (a) still serve the
         // batch it was assembling, and (b) stop *because of the
-        // disconnect* — promptly, not after the straggler timeout, and
-        // with the abnormal stop recorded.
+        // disconnect* — promptly, not after the straggler timeout.
         let engine: Arc<dyn GemmEngine> = Arc::new(F32Engine::new(1));
         let model = resnet20(&engine, 4, 10, 1);
         let cfg = ServeConfig {
@@ -1479,46 +1302,43 @@ mod tests {
             straggler_wait: Duration::from_secs(30), // a timeout would hang the test
             ..ServeConfig::default()
         };
-        let (ltx, lrx) = mpsc::sync_channel::<WorkerMsg>(16);
-        let sink = DiagSink::default();
-        let worker_sink = sink.clone();
-        let handle =
-            std::thread::spawn(move || worker_loop(model, SIZE, cfg, &lrx, &worker_sink, 0));
-
+        let (tx, rx) = mpsc::sync_channel::<Msg>(16);
+        let rx = Mutex::new(rx);
+        let busy = AtomicUsize::new(0);
         let ds = synth_cifar10(2, SIZE, 5);
-        let pending: Vec<_> = (0..2)
-            .map(|i| {
-                let (reply, rx) = mpsc::channel();
-                ltx.send(WorkerMsg::Request(Request {
-                    sample: sample(&ds, i),
-                    reply,
-                    submitted: Instant::now(),
-                    deadline: None,
-                }))
-                .expect("send");
-                rx
-            })
-            .collect();
-        // Hang up mid-straggler-wait, with no shutdown marker.
-        drop(ltx);
-        let exit = handle.join().expect("worker exits cleanly");
-        assert_eq!(
-            exit.reason,
-            StopReason::Disconnected,
-            "a hangup without a marker is an explicit disconnect stop"
-        );
-        // The in-flight batch was still served before stopping.
-        for rx in pending {
-            let got = rx.recv().expect("reply").expect("prediction");
-            assert_eq!(got.logits.len(), 10);
-        }
-        assert_eq!(exit.stats.requests, 2);
-        // The abnormal stop is recorded, not silent.
-        let diags = sink.snapshot();
+        let started = Instant::now();
+        let exit = std::thread::scope(|s| {
+            let handle = s.spawn(|| worker_loop(model, SIZE, cfg, &rx, &busy));
+            let pending: Vec<_> = (0..2)
+                .map(|i| {
+                    let (reply, rx) = mpsc::channel();
+                    tx.send(Msg::Request(Request {
+                        sample: sample(&ds, i),
+                        reply,
+                        submitted: Instant::now(),
+                        deadline: None,
+                    }))
+                    .expect("send");
+                    rx
+                })
+                .collect();
+            // Hang up mid-straggler-wait, with no shutdown marker.
+            drop(tx);
+            let exit = handle.join().expect("worker exits cleanly");
+            // The in-flight batch was still served before stopping.
+            for rx in pending {
+                let got = rx.recv().expect("reply").expect("prediction");
+                assert_eq!(got.logits.len(), 10);
+            }
+            exit
+        });
         assert!(
-            diags.iter().any(|d| d.code == codes::ROUTER_VANISHED),
-            "expected a serve::router-vanished diagnostic, got {diags:?}"
+            started.elapsed() < cfg.straggler_wait,
+            "a hangup must stop the worker, not the straggler timeout"
         );
+        assert_eq!(exit.stats.requests, 2);
+        assert_eq!(exit.stats.batches, 1, "both requests rode one batch");
+        assert_eq!(busy.load(Ordering::SeqCst), 0, "busy count restored");
     }
 
     #[test]
