@@ -25,12 +25,15 @@
 //! recorded them. `--relative` is the machine-independent gate CI runs:
 //! it measures the lane-batched kernel against the scalar (`lanes = 1`)
 //! kernel *on the same host* and fails if the batching speedup falls
-//! below `--min-speedup` (default 1.2) — catching the regressions that
-//! matter (losing the lane batching, the SIMD-tier dispatch, or the
-//! zero-compaction) without betting on a shared runner's absolute
-//! wall-clock; it also verifies the committed file still contains every
-//! watched entry, and gates the data-parallel trainer step's replica
-//! fan-out (4 replicas vs 1 at pinned `grad_shards = 4` — identical bits
+//! below `--min-speedup` (default 1.2) on the headline 64x128x64 shape,
+//! or below 2.5x on the tall, narrow 2304x36x4 shape of a ResNet-20 w4
+//! forward convolution — catching the regressions that matter (losing
+//! the lane batching, the SIMD-tier dispatch, the zero-compaction, or
+//! the lanes' orientation along the long dimension) without betting on
+//! a shared runner's absolute wall-clock; it also verifies the
+//! committed file still contains every watched entry, and gates the
+//! data-parallel trainer step's replica fan-out (4 replicas vs 1 at
+//! pinned `grad_shards = 4` — identical bits
 //! by the trainer's contract, so only scheduling can move) at
 //! `--min-train-speedup` (default 1.8), and the replicated inference
 //! server's worker fan-out (a pipelined 32-request stream against 4
@@ -144,16 +147,27 @@ fn median_ns(samples: usize, mut run: impl FnMut()) -> f64 {
     times[times.len() / 2]
 }
 
-/// The `gemm_64x128x64` one-shot workload (same shape, seeds and engine
+/// The headline `gemm_64x128x64` shape of `benches/gemm.rs`.
+const HEADLINE: (usize, usize, usize) = (64, 128, 64);
+
+/// A ResNet-20 w4 stage-1 forward convolution of one 16-sample training
+/// shard at 12x12: 2304 output positions x 36 im2row taps x 4 output
+/// channels. Its lanes only fill when they run along the 2304 rows.
+const NARROW: (usize, usize, usize) = (2304, 36, 4);
+
+/// Floor of the production-vs-scalar speedup on [`NARROW`].
+const NARROW_FLOOR: f64 = 2.5;
+
+/// A one-shot GEMM workload of shape `(m, k, n)` (seeds and engine
 /// configs as `benches/gemm.rs`), at an optional explicit lane width.
 fn gemm_median(
     samples: usize,
+    (m, k, n): (usize, usize, usize),
     rounding: AccumRounding,
     subnormals: bool,
     lanes: Option<usize>,
     threads: usize,
 ) -> f64 {
-    let (m, k, n) = (64usize, 128, 64);
     let a = rand_vec(m * k, 1);
     let b = rand_vec(k * n, 2);
     let mut out = vec![0.0f32; m * n];
@@ -270,6 +284,23 @@ fn ckpt_overhead_gate(args: &Args) -> bool {
     failed
 }
 
+/// Gates the production kernel against the scalar `lanes = 1` kernel on
+/// one SR13 shape on this host. Returns true when the gate fails.
+fn lane_gate(args: &Args, label: &str, shape: (usize, usize, usize), floor: f64) -> bool {
+    let sr = AccumRounding::Stochastic { r: 13 };
+    let scalar = gemm_median(args.samples, shape, sr, false, Some(1), args.threads);
+    let batched = gemm_median(args.samples, shape, sr, false, None, args.threads);
+    let speedup = scalar / batched;
+    let failed = speedup < floor;
+    let verdict = if failed { "REGRESSION" } else { "ok" };
+    println!(
+        "{label} SR13 ({} thread(s)): batched {batched:>12.0} ns vs scalar lanes=1 \
+         {scalar:>12.0} ns ({speedup:.2}x, floor {floor:.2}x) {verdict}",
+        args.threads
+    );
+    failed
+}
+
 /// The machine-independent gate: lane batching must beat the scalar
 /// kernel on this very host, the data-parallel trainer step and the
 /// replicated inference server must scale with replicas/workers
@@ -303,21 +334,10 @@ fn run_relative(args: &Args, committed: &[srmac_bench::guard::CommittedMedian]) 
             failed = true;
         }
     }
-    let sr = AccumRounding::Stochastic { r: 13 };
-    let scalar = gemm_median(args.samples, sr, false, Some(1), args.threads);
-    let batched = gemm_median(args.samples, sr, false, None, args.threads);
-    let speedup = scalar / batched;
-    let verdict = if speedup < args.min_speedup {
-        failed = true;
-        "REGRESSION"
-    } else {
-        "ok"
-    };
-    println!(
-        "gemm_64x128x64 SR13 ({} thread(s)): batched {batched:>12.0} ns vs scalar lanes=1 \
-         {scalar:>12.0} ns ({speedup:.2}x, floor {:.2}x) {verdict}",
-        args.threads, args.min_speedup
-    );
+    failed |= lane_gate(args, "gemm_64x128x64", HEADLINE, args.min_speedup);
+    // The same gate on a tall, narrow training shape: production must
+    // put its lanes on the long dimension to clear this floor.
+    failed |= lane_gate(args, "gemm_2304x36x4", NARROW, NARROW_FLOOR);
     // Replica scaling of the full trainer step: the 4-replica variant
     // computes the same bits as the 1-replica one (grad_shards pinned at
     // 4), so wall-clock is the only thing that may move. Trainer steps
@@ -484,6 +504,7 @@ fn main() -> ExitCode {
             "mac_fp12_sr13_1thread",
             gemm_median(
                 args.samples,
+                HEADLINE,
                 AccumRounding::Stochastic { r: 13 },
                 false,
                 None,
@@ -495,6 +516,7 @@ fn main() -> ExitCode {
             "mac_fp12_rn_1thread",
             gemm_median(
                 args.samples,
+                HEADLINE,
                 AccumRounding::Nearest,
                 true,
                 None,

@@ -656,8 +656,8 @@ impl FastAdderBatch {
 /// 64-lane state round-trips through the stack each step).
 ///
 /// This *is* the default fast path on AVX-512 hardware: the engine's
-/// runtime tier dispatch (`SimdTier::detect`) routes 64-wide panel
-/// blocks here in chunks of 16 columns. Everything is a 1:1 translation
+/// runtime tier dispatch (`SimdTier::detect`) routes every 64-lane panel
+/// block here as four interleaved 16-lane chains. Everything is a 1:1 translation
 /// of [`FastAdderBatch::add_core32`] — same variable names, same
 /// clamping, same select order — plus the draw/zero-skip/special
 /// semantics of `mac_step32`, and the randomized cross-check in this
@@ -1036,9 +1036,11 @@ pub(crate) mod z16 {
     /// zero-magnitude products neither touch the accumulator nor consume
     /// a draw.
     ///
-    /// Callers discharge the `#[target_feature]` obligation: the CPU must
-    /// support AVX-512 F/BW/DQ/VL/CD (the engine checks via
-    /// `SimdTier::detect` before routing here).
+    /// The single-chain reference of [`dot64_narrow`], which this
+    /// module's tests pin against it chain by chain; the engine never
+    /// runs it. Callers discharge the `#[target_feature]` obligation: the
+    /// CPU must support AVX-512 F/BW/DQ/VL/CD.
+    #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
     #[target_feature(
         enable = "avx512f",
@@ -1278,92 +1280,6 @@ pub(crate) mod z16 {
                 (a2, s4, s5, 2),
                 (a3, s6, s7, 3)
             ]
-        )
-    }
-
-    /// Two interleaved 16-lane chains: columns `lane0 .. lane0 + 32`.
-    /// Bit-identical to two [`dot16_narrow`] calls at `lane0 + 0/16`.
-    /// The half-width sibling of [`dot64_narrow`]: lower register
-    /// pressure at half the per-call amortization, for 32-wide callers
-    /// and A/B comparison of interleave depth.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(
-        enable = "avx512f",
-        enable = "avx512bw",
-        enable = "avx512dq",
-        enable = "avx512vl",
-        enable = "avx512cd"
-    )]
-    pub(crate) fn dot32_narrow<const SR: bool>(
-        batch: &FastAdderBatch,
-        table: &[u32; 1 << 16],
-        ids: &[u32],
-        cods: &[u8],
-        pan: &[u8],
-        stride: usize,
-        lane0: usize,
-        seeds: &[u64; 32],
-    ) -> [u32; 32] {
-        match is_e6m5::<SR>(batch) {
-            Some(true) => {
-                dot32_e6m5::<SR, true>(batch, table, ids, cods, pan, stride, lane0, seeds)
-            }
-            Some(false) => {
-                dot32_e6m5::<SR, false>(batch, table, ids, cods, pan, stride, lane0, seeds)
-            }
-            None => {
-                let c = consts(batch);
-                dot_body!(
-                    SR,
-                    c,
-                    batch,
-                    table,
-                    ids,
-                    cods,
-                    pan,
-                    stride,
-                    lane0,
-                    seeds,
-                    32,
-                    [(a0, s0, s1, 0), (a1, s2, s3, 1)]
-                )
-            }
-        }
-    }
-
-    /// The literal-constant E6M5 instantiation of [`dot32_narrow`].
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(
-        enable = "avx512f",
-        enable = "avx512bw",
-        enable = "avx512dq",
-        enable = "avx512vl",
-        enable = "avx512cd"
-    )]
-    fn dot32_e6m5<const SR: bool, const SUB: bool>(
-        batch: &FastAdderBatch,
-        table: &[u32; 1 << 16],
-        ids: &[u32],
-        cods: &[u8],
-        pan: &[u8],
-        stride: usize,
-        lane0: usize,
-        seeds: &[u64; 32],
-    ) -> [u32; 32] {
-        let c = consts_e6m5::<SR, SUB>();
-        dot_body!(
-            SR,
-            c,
-            batch,
-            table,
-            ids,
-            cods,
-            pan,
-            stride,
-            lane0,
-            seeds,
-            32,
-            [(a0, s0, s1, 0), (a1, s2, s3, 1)]
         )
     }
 }
@@ -1997,7 +1913,8 @@ mod tests {
     /// (scalar-verified) `mac_step32` + `SrLaneStreams` machinery: random
     /// compacted-A streams and panel bytes over the full e5m2 code plane —
     /// zeros (zero-skip + no draw), NaN/Inf codes (the `#[cold]` scalar
-    /// fixup), both halves of a 32-wide panel block, RN and SR13.
+    /// fixup), every 16-lane chunk of 16/32/64-stride panel blocks, RN and
+    /// SR13, and the interleaved 64-lane kernel against four single chains.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn z16_dot_matches_scalar_mac_loop() {
@@ -2150,73 +2067,6 @@ mod tests {
                                 wide[q * 16..q * 16 + 16],
                                 quads[q],
                                 "{mode:?} case {case}: 64-wide chain {q}"
-                            );
-                        }
-                    }
-                }
-
-                // Likewise the 32-wide kernel == two 16-wide calls.
-                if stride == 32 {
-                    let seeds32: [u64; 32] = std::array::from_fn(|_| rng.next_u64());
-                    // SAFETY: AVX-512 F/BW/DQ/VL/CD verified at runtime above.
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        let (wide, pairs) = if sr {
-                            (
-                                z16::dot32_narrow::<true>(
-                                    &batch,
-                                    plut.table(),
-                                    &ids,
-                                    &cods,
-                                    &pan,
-                                    32,
-                                    0,
-                                    &seeds32,
-                                ),
-                                std::array::from_fn::<_, 2, _>(|q| {
-                                    z16::dot16_narrow::<true>(
-                                        &batch,
-                                        plut.table(),
-                                        &ids,
-                                        &cods,
-                                        &pan,
-                                        32,
-                                        q * 16,
-                                        seeds32[q * 16..q * 16 + 16].try_into().unwrap(),
-                                    )
-                                }),
-                            )
-                        } else {
-                            (
-                                z16::dot32_narrow::<false>(
-                                    &batch,
-                                    plut.table(),
-                                    &ids,
-                                    &cods,
-                                    &pan,
-                                    32,
-                                    0,
-                                    &seeds32,
-                                ),
-                                std::array::from_fn::<_, 2, _>(|q| {
-                                    z16::dot16_narrow::<false>(
-                                        &batch,
-                                        plut.table(),
-                                        &ids,
-                                        &cods,
-                                        &pan,
-                                        32,
-                                        q * 16,
-                                        seeds32[q * 16..q * 16 + 16].try_into().unwrap(),
-                                    )
-                                }),
-                            )
-                        };
-                        for q in 0..2 {
-                            assert_eq!(
-                                wide[q * 16..q * 16 + 16],
-                                pairs[q],
-                                "{mode:?} case {case}: 32-wide chain {q}"
                             );
                         }
                     }

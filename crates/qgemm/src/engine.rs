@@ -16,14 +16,31 @@
 //! values and the multiplier format — never on the accumulator format,
 //! rounding mode, seed or thread count — so a packed weight can be reused
 //! across forward, backward and evaluation products, and even across
-//! engines that share a multiplier format.
+//! engines that share a multiplier format. The two kernel layouts of an
+//! operand (its zero-skipping compaction and its lane-interleaved panel)
+//! are built lazily, each at most once, by the first product that needs
+//! it.
+//!
+//! # Orientation
+//!
+//! The kernel advances 64 independent output elements in SIMD lanes, so
+//! it wants the lanes on a long output dimension. At the production lane
+//! width every product runs in an *oriented frame* picked from `(m, n)`
+//! alone: lanes along `n` (C itself) when `n >= m`, otherwise along `m`
+//! by computing `C^T = B^T A^T` with the same kernels. In the frame, one
+//! operand is *broadcast* (its non-zero-magnitude codes, in `k` order,
+//! drive an oriented row) and the other fills the lane panel. A lane
+//! dimension below 64 runs as one zero-padded 64-lane block.
 //!
 //! # Determinism contract
 //!
-//! Every output element draws its stochastic-rounding words from a
-//! `SplitMix64` stream seeded by `(engine seed, row, column)`; the stream
-//! advances once per non-zero product in `k` order. Results are therefore
-//! a pure function of `(values, config.seed)` — independent of packing,
+//! Every output element `(i, j)` of C draws its stochastic-rounding words
+//! from a `SplitMix64` stream seeded by `(engine seed, row i, column j)`
+//! — in either frame — and the stream advances once per non-zero product
+//! in `k` order. The product tables are commutative, so an element sees
+//! the same products and draws the same words whichever operand is
+//! broadcast. Results are therefore a pure function of
+//! `(values, config.seed)` — independent of orientation, packing,
 //! chunking, the worker-pool size and call order.
 
 use std::ops::Range;
@@ -41,25 +58,30 @@ use crate::fastmath::{AccumRounding, FastAdder, FastQuantizer};
 use crate::lut::{PairLut, ProductLut};
 
 /// Default lane width of the batched compacted accumulation loop: the
-/// number of output columns [`FastAdderBatch`] advances per step. The
+/// number of output elements along the oriented frame's lane dimension
+/// (see the module docs) that [`FastAdderBatch`] advances per step. The
 /// per-element accumulation chain is serial in `k`, so wall-clock is
-/// bounded by chain *latency* unless enough independent column chains are
-/// in flight to cover it — 64 lanes (sixteen 4-wide vector chains under
-/// AVX2, eight 8-wide under AVX-512) measure fastest on current cores,
-/// with a cascade down to 8-lane blocks and a scalar tail for narrow
-/// outputs. [`MacGemm::with_lane_width`] narrows it for equivalence
-/// testing and benchmarking.
+/// bounded by chain *latency* unless enough independent chains are in
+/// flight to cover it: under AVX-512 the z16 kernel runs a 64-lane block
+/// as four interleaved 16-lane u32 chains, elsewhere LLVM vectorizes the
+/// portable loop. A lane dimension of 64 or more cascades 64-lane blocks
+/// → 8-lane blocks → a scalar tail; a shorter one is one zero-padded
+/// 64-lane block. [`MacGemm::with_lane_width`] narrows the width for
+/// equivalence testing and benchmarking (narrower widths keep C's own
+/// frame).
 const LANES: usize = 64;
 
 /// Cache-blocking tile sizes of the tiled execution path.
 ///
-/// The output matrix is cut into a fixed grid of `row_tile x col_tile`
+/// The grid lives in the product's oriented frame (see the module docs):
+/// `col_tile` runs along the lane dimension, `row_tile` across it. The
+/// oriented output is cut into a fixed grid of `row_tile x col_tile`
 /// rectangles for multi-core dispatch (one pool job per rectangle), and
-/// inside each rectangle the loop walks `col_tile` columns at a time
-/// across all of the rectangle's rows, so one lane-interleaved B panel
-/// slice (`col_tile * k` bytes) is reused across every row before the
-/// next slice is touched. The grid is a pure function of the shape and
-/// the tile sizes — never of the thread count — which together with the
+/// inside each rectangle the loop walks `col_tile` lanes at a time across
+/// all of the rectangle's rows, so one lane-interleaved panel slice
+/// (`col_tile * k` bytes) is reused across every row before the next
+/// slice is touched. The grid is a pure function of the shape and the
+/// tile sizes — never of the thread count — which together with the
 /// per-output-element accumulation order (unchanged) and position-seeded
 /// SR streams keeps results bitwise identical for every tile/thread
 /// combination.
@@ -69,17 +91,17 @@ const LANES: usize = 64;
 /// [`TileConfig::auto`], derived with `probe_tune kernel`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TileConfig {
-    /// Output rows per dispatch rectangle.
+    /// Oriented rows (across the lanes) per dispatch rectangle.
     pub row_tile: usize,
-    /// Output columns per dispatch rectangle and per in-job column tile
-    /// (multiple of 64).
+    /// Oriented lane columns per dispatch rectangle and per in-job lane
+    /// tile (multiple of 64).
     pub col_tile: usize,
 }
 
 impl TileConfig {
     /// The tuned defaults (see `probe_tune kernel`): 32 rows keeps ~8
-    /// dispatch rectangles per core on training shapes, 512 columns
-    /// bounds the active B panel slice at `512 * k` bytes — L2-resident
+    /// dispatch rectangles per core on training shapes, 512 lanes
+    /// bounds the active panel slice at `512 * k` bytes — L2-resident
     /// alongside the 256 KiB pair LUT for every ResNet-20 shape.
     #[must_use]
     pub fn auto() -> Self {
@@ -381,7 +403,7 @@ struct MacKernel {
     acc_mag_mask: u64,
     rounding: AccumRounding,
     seed: u64,
-    /// Column-lane width of the compacted path.
+    /// Lane width of the compacted path.
     lanes: usize,
     /// Detected vector-ISA tier of the batched loop.
     tier: SimdTier,
@@ -421,13 +443,16 @@ impl MacKernel {
         acc as u16
     }
 
-    /// One dot product over a compacted (zero-free) A row: `ids`/`cods`
-    /// hold the k-indices and codes of the row's non-zero-magnitude
-    /// entries, in ascending k order. Bit-identical to [`MacKernel::dot`]
-    /// whenever B holds no NaN codes: products against a zero-magnitude A
-    /// code are exactly `+/-0` then, so the dense loop would skip them
-    /// without drawing a rounding word — exactly what skipping the entry
-    /// outright does.
+    /// One dot product over a compacted (zero-free) broadcast vector —
+    /// an A row, or a B column when the product runs transposed:
+    /// `ids`/`cods` hold the k-indices and codes of its non-zero-magnitude
+    /// entries, in ascending k order, and `bcol` is the other operand's
+    /// vector. Bit-identical to [`MacKernel::dot`] whenever `bcol` holds
+    /// no NaN codes: products against a zero-magnitude broadcast code are
+    /// exactly `+/-0` then, so the dense loop would skip them without
+    /// drawing a rounding word — exactly what skipping the entry outright
+    /// does. (The product table is commutative, so the operand order of
+    /// the lookup does not matter.)
     fn dot_compact(&self, ids: &[u32], cods: &[u8], bcol: &[u8], rng: &mut SplitMix64) -> u16 {
         let mut acc: u64 = 0;
         match self.rounding {
@@ -515,10 +540,10 @@ impl MacKernel {
         std::array::from_fn(|l| batch.encode(acc[l]) as u16)
     }
 
-    /// [`MacKernel::dotn_compact_batch`] over a lane-interleaved B panel
-    /// block (`pan[ci * L + l]` is column `l`'s code at k-index `ci`):
+    /// [`MacKernel::dotn_compact_batch`] over a lane-interleaved panel
+    /// block (`pan[ci * L + l]` is lane `l`'s code at k-index `ci`):
     /// one contiguous `L`-byte load per k-step instead of `L` strided
-    /// column touches. Same adds, same streams — bit-identical.
+    /// vector touches. Same adds, same streams — bit-identical.
     #[inline(always)]
     fn dotn_panel_wide<const L: usize, const SR: bool>(
         &self,
@@ -589,174 +614,87 @@ impl MacKernel {
         std::array::from_fn(|l| batch.encode32(acc[l]) as u16)
     }
 
-    /// One `L`-wide panel block of output row `i`, columns
-    /// `base .. base + L`, through the narrow loop when the pair LUT is
-    /// engaged and the wide loop otherwise. `out` is the block's slice of
-    /// the output row.
+    /// One `L`-wide panel block of an oriented row, through the narrow
+    /// loop when the pair LUT is engaged and the wide loop otherwise.
+    /// `seed_of(l)` is lane `l`'s stream seed; `out` receives the first
+    /// `out.len()` lanes (shorter than `L` for a zero-padded block, whose
+    /// padding lanes are dropped).
     ///
-    /// Under the AVX-512 tier the narrow loop runs through the explicit
-    /// `z16` kernel (16 u32 lanes per `zmm`, accumulators
-    /// register-resident across the whole `k` loop); elsewhere it is the
-    /// portable SWAR loop above, auto-vectorized.
+    /// Under the AVX-512 tier a 64-lane narrow block runs through the
+    /// explicit `z16` kernel (four interleaved 16-lane u32 chains,
+    /// accumulators register-resident across the whole `k` loop);
+    /// elsewhere it is the portable SWAR loop above, auto-vectorized.
     #[inline(always)]
     fn panel_block<const L: usize>(
         &self,
         ids: &[u32],
         cods: &[u8],
         pan: &[u8],
-        i: usize,
-        base: usize,
+        seed_of: impl Fn(usize) -> u64,
         out: &mut [f32],
     ) {
         let sr = !matches!(self.rounding, AccumRounding::Nearest);
         if let Some(plut) = &self.plut {
             #[cfg(target_arch = "x86_64")]
-            if self.tier == SimdTier::Avx512 && L.is_multiple_of(16) {
-                if L.is_multiple_of(64) {
-                    let mut l0 = 0;
-                    while l0 < L {
-                        let seeds: [u64; 64] =
-                            std::array::from_fn(|l| mix_seed(self.seed, i, base + l0 + l));
-                        // SAFETY: `SimdTier::detect` verified every feature
-                        // the z16 kernel enables.
-                        #[allow(unsafe_code)]
-                        let accs = unsafe {
-                            if sr {
-                                z16::dot64_narrow::<true>(
-                                    &self.batch,
-                                    plut.table(),
-                                    ids,
-                                    cods,
-                                    pan,
-                                    L,
-                                    l0,
-                                    &seeds,
-                                )
-                            } else {
-                                z16::dot64_narrow::<false>(
-                                    &self.batch,
-                                    plut.table(),
-                                    ids,
-                                    cods,
-                                    pan,
-                                    L,
-                                    l0,
-                                    &seeds,
-                                )
-                            }
-                        };
-                        for (lane, &a) in accs.iter().enumerate() {
-                            out[l0 + lane] = self.decode[self.batch.encode32(a) as usize];
-                        }
-                        l0 += 64;
+            if self.tier == SimdTier::Avx512 && L == 64 {
+                let seeds: [u64; 64] = std::array::from_fn(seed_of);
+                // SAFETY: `SimdTier::detect` verified every feature the
+                // z16 kernel enables.
+                #[allow(unsafe_code)]
+                let accs = unsafe {
+                    if sr {
+                        z16::dot64_narrow::<true>(
+                            &self.batch,
+                            plut.table(),
+                            ids,
+                            cods,
+                            pan,
+                            64,
+                            0,
+                            &seeds,
+                        )
+                    } else {
+                        z16::dot64_narrow::<false>(
+                            &self.batch,
+                            plut.table(),
+                            ids,
+                            cods,
+                            pan,
+                            64,
+                            0,
+                            &seeds,
+                        )
                     }
-                    return;
-                }
-                if L.is_multiple_of(32) {
-                    let mut l0 = 0;
-                    while l0 < L {
-                        let seeds: [u64; 32] =
-                            std::array::from_fn(|l| mix_seed(self.seed, i, base + l0 + l));
-                        // SAFETY: `SimdTier::detect` verified every feature
-                        // the z16 kernel enables.
-                        #[allow(unsafe_code)]
-                        let accs = unsafe {
-                            if sr {
-                                z16::dot32_narrow::<true>(
-                                    &self.batch,
-                                    plut.table(),
-                                    ids,
-                                    cods,
-                                    pan,
-                                    L,
-                                    l0,
-                                    &seeds,
-                                )
-                            } else {
-                                z16::dot32_narrow::<false>(
-                                    &self.batch,
-                                    plut.table(),
-                                    ids,
-                                    cods,
-                                    pan,
-                                    L,
-                                    l0,
-                                    &seeds,
-                                )
-                            }
-                        };
-                        for (lane, &a) in accs.iter().enumerate() {
-                            out[l0 + lane] = self.decode[self.batch.encode32(a) as usize];
-                        }
-                        l0 += 32;
-                    }
-                    return;
-                }
-                let mut l0 = 0;
-                while l0 < L {
-                    let seeds: [u64; 16] =
-                        std::array::from_fn(|l| mix_seed(self.seed, i, base + l0 + l));
-                    // SAFETY: `SimdTier::detect` verified every feature
-                    // the z16 kernel enables.
-                    #[allow(unsafe_code)]
-                    let accs = unsafe {
-                        if sr {
-                            z16::dot16_narrow::<true>(
-                                &self.batch,
-                                plut.table(),
-                                ids,
-                                cods,
-                                pan,
-                                L,
-                                l0,
-                                &seeds,
-                            )
-                        } else {
-                            z16::dot16_narrow::<false>(
-                                &self.batch,
-                                plut.table(),
-                                ids,
-                                cods,
-                                pan,
-                                L,
-                                l0,
-                                &seeds,
-                            )
-                        }
-                    };
-                    for (lane, &a) in accs.iter().enumerate() {
-                        out[l0 + lane] = self.decode[self.batch.encode32(a) as usize];
-                    }
-                    l0 += 16;
+                };
+                for (o, &a) in out.iter_mut().zip(&accs) {
+                    *o = self.decode[self.batch.encode32(a) as usize];
                 }
                 return;
             }
-            let mut streams =
-                SrLaneStreams::new(std::array::from_fn(|l| mix_seed(self.seed, i, base + l)));
+            let mut streams = SrLaneStreams::new(std::array::from_fn(seed_of));
             let accs = if sr {
                 self.dotn_panel_narrow::<L, true>(plut, ids, cods, pan, &mut streams)
             } else {
                 self.dotn_panel_narrow::<L, false>(plut, ids, cods, pan, &mut streams)
             };
-            for (lane, &a) in accs.iter().enumerate() {
-                out[lane] = self.decode[a as usize];
+            for (o, &a) in out.iter_mut().zip(&accs) {
+                *o = self.decode[a as usize];
             }
             return;
         }
-        let mut streams =
-            SrLaneStreams::new(std::array::from_fn(|l| mix_seed(self.seed, i, base + l)));
+        let mut streams = SrLaneStreams::new(std::array::from_fn(seed_of));
         let accs = if sr {
             self.dotn_panel_wide::<L, true>(ids, cods, pan, &mut streams)
         } else {
             self.dotn_panel_wide::<L, false>(ids, cods, pan, &mut streams)
         };
-        for (lane, &a) in accs.iter().enumerate() {
-            out[lane] = self.decode[a as usize];
+        for (o, &a) in out.iter_mut().zip(&accs) {
+            *o = self.decode[a as usize];
         }
     }
 
     /// Runs lane blocks of width `L` over columns `*j .. cols.end` of one
-    /// output row, gathering from column-major `bcode_t` and advancing
+    /// output row `i`, gathering from column-major `bcode_t` and advancing
     /// `j` past every complete block (the legacy, non-panel loop kept for
     /// explicit lane widths below 64).
     #[inline(always)]
@@ -768,6 +706,7 @@ impl MacKernel {
         bcode_t: &[u8],
         k: usize,
         cols: &Range<usize>,
+        frame: Frame,
         i: usize,
         j: &mut usize,
         out_row: &mut [f32],
@@ -778,7 +717,7 @@ impl MacKernel {
             let bcols: [&[u8]; L] =
                 std::array::from_fn(|l| &bcode_t[(base + l) * k..(base + l + 1) * k]);
             let mut streams =
-                SrLaneStreams::new(std::array::from_fn(|l| mix_seed(self.seed, i, base + l)));
+                SrLaneStreams::new(std::array::from_fn(|l| frame.seed(self.seed, i, base + l)));
             let accs = if sr {
                 self.dotn_compact_batch::<L, true>(ids, cods, bcols, &mut streams)
             } else {
@@ -791,22 +730,26 @@ impl MacKernel {
         }
     }
 
-    /// Compacted-A rectangle kernel (requires a NaN-free B operand; see
-    /// [`MacKernel::dot_compact`]): fills output rows `rows` x columns
-    /// `cols` into `block` (row-major, stride `cols.len()`). Bit-identical
-    /// to the scalar path for every lane width, tile shape and column
-    /// range — the tiling only reorders *which independent element* is
-    /// computed when. Dispatches once onto the detected [`SimdTier`]'s
-    /// codegen of the (identical) loop body.
+    /// Compacted rectangle kernel in an oriented frame: fills oriented
+    /// rows `rows` x lane columns `cols` into `block` (row-major, stride
+    /// `cols.len()`). `bcast` is the broadcast operand's compaction (one
+    /// CSR row per oriented row), `vecs` the lane operand's contiguous
+    /// length-`k` code vectors and `panel` their lane-interleaved layout
+    /// (see [`build_panel`]); `n` is the lane dimension. Requires a
+    /// NaN-free lane operand (see [`MacKernel::dot_compact`]).
+    /// Bit-identical to the scalar path for every lane width, tile shape
+    /// and column range — the tiling only reorders *which independent
+    /// element* is computed when. Dispatches once onto the detected
+    /// [`SimdTier`]'s codegen of the (identical) loop body.
     #[allow(clippy::too_many_arguments)] // internal dispatch seam: shape + operand views
     fn compute_rect_compact(
         &self,
-        compact: &CompactA,
-        bcode_t: &[u8],
+        bcast: &Csr,
+        vecs: &[u8],
         panel: &[u8],
         k: usize,
         n: usize,
-        row_base: usize,
+        frame: Frame,
         rows: Range<usize>,
         cols: Range<usize>,
         block: &mut [f32],
@@ -819,7 +762,7 @@ impl MacKernel {
                 #[allow(unsafe_code)]
                 unsafe {
                     self.compute_rect_compact_avx512(
-                        compact, bcode_t, panel, k, n, row_base, rows, cols, block,
+                        bcast, vecs, panel, k, n, frame, rows, cols, block,
                     );
                 }
             }
@@ -829,14 +772,12 @@ impl MacKernel {
                 #[allow(unsafe_code)]
                 unsafe {
                     self.compute_rect_compact_avx2(
-                        compact, bcode_t, panel, k, n, row_base, rows, cols, block,
+                        bcast, vecs, panel, k, n, frame, rows, cols, block,
                     );
                 }
             }
             SimdTier::Portable => {
-                self.compute_rect_compact_body(
-                    compact, bcode_t, panel, k, n, row_base, rows, cols, block,
-                );
+                self.compute_rect_compact_body(bcast, vecs, panel, k, n, frame, rows, cols, block);
             }
         }
     }
@@ -855,17 +796,17 @@ impl MacKernel {
     #[allow(clippy::too_many_arguments)]
     fn compute_rect_compact_avx512(
         &self,
-        compact: &CompactA,
-        bcode_t: &[u8],
+        bcast: &Csr,
+        vecs: &[u8],
         panel: &[u8],
         k: usize,
         n: usize,
-        row_base: usize,
+        frame: Frame,
         rows: Range<usize>,
         cols: Range<usize>,
         block: &mut [f32],
     ) {
-        self.compute_rect_compact_body(compact, bcode_t, panel, k, n, row_base, rows, cols, block);
+        self.compute_rect_compact_body(bcast, vecs, panel, k, n, frame, rows, cols, block);
     }
 
     /// AVX2 codegen of the compacted loop (4-lane `ymm` arithmetic).
@@ -874,89 +815,104 @@ impl MacKernel {
     #[allow(clippy::too_many_arguments)]
     fn compute_rect_compact_avx2(
         &self,
-        compact: &CompactA,
-        bcode_t: &[u8],
+        bcast: &Csr,
+        vecs: &[u8],
         panel: &[u8],
         k: usize,
         n: usize,
-        row_base: usize,
+        frame: Frame,
         rows: Range<usize>,
         cols: Range<usize>,
         block: &mut [f32],
     ) {
-        self.compute_rect_compact_body(compact, bcode_t, panel, k, n, row_base, rows, cols, block);
+        self.compute_rect_compact_body(bcast, vecs, panel, k, n, frame, rows, cols, block);
     }
 
     /// The tier-independent rectangle body (inlined into each tier wrapper
     /// so every tier gets its own codegen of the whole lane pipeline).
     ///
-    /// At the production lane width (64) with a panel available, this is
-    /// the tiled loop: column tiles of `self.tiles.col_tile` outermost,
-    /// the rectangle's rows next, lane blocks innermost — every row of
-    /// the rectangle reuses one `col_tile * k`-byte panel slice before
-    /// the loop moves on. Panel regions (64-wide blocks, then 8-wide
-    /// blocks, then a scalar tail from `bcode_t`) partition the columns;
-    /// tile and dispatch boundaries are 64-aligned, so they never split
-    /// a block. Explicit narrower lane widths take the legacy gather
-    /// loop over `bcode_t`, which keeps the equivalence suites
-    /// exercising both layouts against each other.
+    /// At the production lane width (64) this is the tiled loop: lane
+    /// tiles of `self.tiles.col_tile` outermost, the rectangle's rows
+    /// next, lane blocks innermost — every row of the rectangle reuses
+    /// one `col_tile * k`-byte panel slice before the loop moves on. A
+    /// lane dimension below 64 is one zero-padded 64-lane block; a
+    /// longer one is partitioned into 64-wide blocks, then 8-wide
+    /// blocks, then a scalar tail read from `vecs`. Tile and dispatch
+    /// boundaries are 64-aligned, so they never split a block. Explicit
+    /// narrower lane widths take the legacy gather loop over `vecs`,
+    /// which keeps the equivalence suites exercising both layouts
+    /// against each other.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn compute_rect_compact_body(
         &self,
-        compact: &CompactA,
-        bcode_t: &[u8],
+        bcast: &Csr,
+        vecs: &[u8],
         panel: &[u8],
         k: usize,
         n: usize,
-        row_base: usize,
+        frame: Frame,
         rows: Range<usize>,
         cols: Range<usize>,
         block: &mut [f32],
     ) {
         let w = cols.len();
         let row_of = |i: usize| {
-            let (s, e) = (compact.row_ptr[i] as usize, compact.row_ptr[i + 1] as usize);
-            (&compact.idx[s..e], &compact.code[s..e])
+            let (s, e) = (bcast.row_ptr[i] as usize, bcast.row_ptr[i + 1] as usize);
+            (&bcast.idx[s..e], &bcast.code[s..e])
         };
-        // Operand data indexes at the local row `i`; SR streams seed at the
-        // full-batch row `si = row_base + i` (`lane_blocks`/`panel_block`
-        // take the row index for seeding only).
-        if self.lanes != LANES || panel.is_empty() {
+        let scalar = |ids: &[u32], cods: &[u8], i: usize, j: usize| {
+            let mut rng = SplitMix64::new(frame.seed(self.seed, i, j));
+            let acc = self.dot_compact(ids, cods, &vecs[j * k..(j + 1) * k], &mut rng);
+            self.decode[acc as usize]
+        };
+        if self.lanes != LANES {
             for (ri, out_row) in block.chunks_mut(w).enumerate() {
                 let i = rows.start + ri;
-                let si = row_base + i;
                 let (ids, cods) = row_of(i);
                 let mut j = cols.start;
                 match self.lanes {
-                    64 => {
-                        self.lane_blocks::<64>(ids, cods, bcode_t, k, &cols, si, &mut j, out_row);
-                        self.lane_blocks::<8>(ids, cods, bcode_t, k, &cols, si, &mut j, out_row);
-                    }
                     32 => {
-                        self.lane_blocks::<32>(ids, cods, bcode_t, k, &cols, si, &mut j, out_row);
-                        self.lane_blocks::<8>(ids, cods, bcode_t, k, &cols, si, &mut j, out_row);
+                        self.lane_blocks::<32>(
+                            ids, cods, vecs, k, &cols, frame, i, &mut j, out_row,
+                        );
+                        self.lane_blocks::<8>(ids, cods, vecs, k, &cols, frame, i, &mut j, out_row);
                     }
                     16 => {
-                        self.lane_blocks::<16>(ids, cods, bcode_t, k, &cols, si, &mut j, out_row);
-                        self.lane_blocks::<8>(ids, cods, bcode_t, k, &cols, si, &mut j, out_row);
+                        self.lane_blocks::<16>(
+                            ids, cods, vecs, k, &cols, frame, i, &mut j, out_row,
+                        );
+                        self.lane_blocks::<8>(ids, cods, vecs, k, &cols, frame, i, &mut j, out_row);
                     }
-                    8 => self.lane_blocks::<8>(ids, cods, bcode_t, k, &cols, si, &mut j, out_row),
-                    4 => self.lane_blocks::<4>(ids, cods, bcode_t, k, &cols, si, &mut j, out_row),
+                    8 => {
+                        self.lane_blocks::<8>(ids, cods, vecs, k, &cols, frame, i, &mut j, out_row)
+                    }
+                    4 => {
+                        self.lane_blocks::<4>(ids, cods, vecs, k, &cols, frame, i, &mut j, out_row)
+                    }
                     _ => {}
                 }
                 while j < cols.end {
-                    let mut rng = SplitMix64::new(mix_seed(self.seed, si, j));
-                    let acc = self.dot_compact(ids, cods, &bcode_t[j * k..(j + 1) * k], &mut rng);
-                    out_row[j - cols.start] = self.decode[acc as usize];
+                    out_row[j - cols.start] = scalar(ids, cods, i, j);
                     j += 1;
                 }
             }
             return;
         }
-        // The tiled panel loop. Column-region boundaries of the panel:
+        if n < LANES {
+            // One zero-padded 64-lane block (the grid never splits a lane
+            // dimension this short): padding lanes hold the +0 code, draw
+            // no word, and their outputs are dropped by `panel_block`.
+            for (ri, out_row) in block.chunks_mut(w).enumerate() {
+                let i = rows.start + ri;
+                let (ids, cods) = row_of(i);
+                self.panel_block::<64>(ids, cods, panel, |l| frame.seed(self.seed, i, l), out_row);
+            }
+            return;
+        }
+        // The tiled panel loop. Lane-region boundaries of the panel:
         // 64-wide blocks cover [0, n64), 8-wide blocks [n64, n8), and the
-        // scalar tail [n8, n) reads column-major codes directly.
+        // scalar tail [n8, n) reads the contiguous vectors directly.
         let n64 = n - n % 64;
         let n8 = n64 + ((n - n64) & !7usize);
         let ct = self.tiles.col_tile.max(64);
@@ -965,28 +921,26 @@ impl MacKernel {
             let c1 = cols.end.min(c0 + ct);
             for (ri, out_row) in block.chunks_mut(w).enumerate() {
                 let i = rows.start + ri;
-                let si = row_base + i;
                 let (ids, cods) = row_of(i);
                 let mut j = c0;
                 let lim64 = c1.min(n64);
                 while j + 64 <= lim64 {
                     let pan = &panel[j * k..(j + 64) * k];
                     let o = j - cols.start;
-                    self.panel_block::<64>(ids, cods, pan, si, j, &mut out_row[o..o + 64]);
+                    let seed_of = |l| frame.seed(self.seed, i, j + l);
+                    self.panel_block::<64>(ids, cods, pan, seed_of, &mut out_row[o..o + 64]);
                     j += 64;
                 }
                 let lim8 = c1.min(n8);
                 while j >= n64 && j + 8 <= lim8 {
-                    let off = n64 * k + (j - n64) * k;
-                    let pan = &panel[off..off + 8 * k];
+                    let pan = &panel[j * k..(j + 8) * k];
                     let o = j - cols.start;
-                    self.panel_block::<8>(ids, cods, pan, si, j, &mut out_row[o..o + 8]);
+                    let seed_of = |l| frame.seed(self.seed, i, j + l);
+                    self.panel_block::<8>(ids, cods, pan, seed_of, &mut out_row[o..o + 8]);
                     j += 8;
                 }
                 while j < c1 {
-                    let mut rng = SplitMix64::new(mix_seed(self.seed, si, j));
-                    let acc = self.dot_compact(ids, cods, &bcode_t[j * k..(j + 1) * k], &mut rng);
-                    out_row[j - cols.start] = self.decode[acc as usize];
+                    out_row[j - cols.start] = scalar(ids, cods, i, j);
                     j += 1;
                 }
             }
@@ -995,8 +949,8 @@ impl MacKernel {
     }
 
     /// Dense rectangle kernel — the NaN-fallback counterpart of
-    /// [`MacKernel::compute_rect_compact`] (scalar dots, golden special
-    /// semantics).
+    /// [`MacKernel::compute_rect_compact`], always in C's own frame
+    /// (scalar dots, golden special semantics).
     #[allow(clippy::too_many_arguments)]
     fn compute_rect_dense(
         &self,
@@ -1022,134 +976,173 @@ impl MacKernel {
     }
 }
 
-/// CSR-style compaction of a row-major code matrix: per row, the k-indices
-/// and codes of the non-zero-magnitude entries. Post-ReLU activations and
-/// im2row padding make left operands substantially sparse in practice, and
-/// skipping zero entries is exact (their products are `+/-0`, which the
-/// accumulation loop ignores without consuming randomness).
+/// Where an oriented output element sits in C, for seeding its stream:
+/// oriented row `i`, lane column `j` is C's element `(i, j)` — or
+/// `(j, i)` when the product runs transposed — at full-batch row offset
+/// `row_base` (see [`GemmEngine::with_row_base`]).
+#[derive(Clone, Copy, Debug)]
+struct Frame {
+    row_base: usize,
+    transposed: bool,
+}
+
+impl Frame {
+    /// The SR stream seed of oriented element `(i, j)`.
+    #[inline]
+    fn seed(self, seed: u64, i: usize, j: usize) -> u64 {
+        if self.transposed {
+            mix_seed(seed, self.row_base + j, i)
+        } else {
+            mix_seed(seed, self.row_base + i, j)
+        }
+    }
+}
+
+/// CSR-style compaction of contiguous code vectors: per vector, the
+/// k-indices and codes of the non-zero-magnitude entries. Post-ReLU
+/// activations and im2row padding make operands substantially sparse in
+/// practice, and skipping zero entries of the broadcast operand is exact
+/// (their products are `+/-0`, which the accumulation loop ignores
+/// without consuming randomness) as long as the lane operand holds no
+/// NaN.
 #[derive(Debug)]
-struct CompactA {
+struct Csr {
     row_ptr: Vec<u32>,
     idx: Vec<u32>,
     code: Vec<u8>,
 }
 
-/// [`PackedOperand`] payload for the A side: the zero-skipping compaction,
-/// plus dense row-major codes materialized lazily — only the NaN-in-B
-/// fallback ever reads them, so the hot path never builds or stores them.
-#[derive(Debug)]
-struct MacPackedA {
-    compact: Arc<CompactA>,
-    dense: OnceLock<Arc<Vec<u8>>>,
-    cols: usize,
-    zero_code: u8,
-    fingerprint: u64,
-}
-
-impl MacPackedA {
-    /// Dense row-major codes rebuilt from the compaction, with every
-    /// zero-magnitude entry as `+0`. Bit-exact for the dense fallback: a
-    /// zero-magnitude A code only ever produces `+/-0` (skipped without
-    /// consuming a rounding word, sign irrelevant) or, against a NaN in B,
-    /// the canonical NaN — identical for `+0` and `-0`. (B cannot hold
-    /// infinities: the quantizer saturates them to the largest finite
-    /// value.)
-    fn dense_codes(&self) -> &Arc<Vec<u8>> {
-        self.dense.get_or_init(|| {
-            let rows = self.compact.row_ptr.len() - 1;
-            let mut codes = vec![self.zero_code; rows * self.cols];
-            for r in 0..rows {
-                let (s, e) = (
-                    self.compact.row_ptr[r] as usize,
-                    self.compact.row_ptr[r + 1] as usize,
-                );
-                for (&c, &cd) in self.compact.idx[s..e].iter().zip(&self.compact.code[s..e]) {
-                    codes[r * self.cols + c as usize] = cd;
+impl Csr {
+    fn build(codes: &[u8], k: usize, mag_mask: u8) -> Self {
+        let mut row_ptr = Vec::with_capacity(codes.len() / k.max(1) + 1);
+        row_ptr.push(0u32);
+        let mut idx = Vec::with_capacity(codes.len());
+        let mut code = Vec::with_capacity(codes.len());
+        for v in codes.chunks(k.max(1)) {
+            for (c, &cd) in v.iter().enumerate() {
+                if cd & mag_mask != 0 {
+                    idx.push(c as u32);
+                    code.push(cd);
                 }
             }
-            Arc::new(codes)
-        })
+            // PANIC-OK: compacted operands are bounded far below u32::MAX entries.
+            row_ptr.push(u32::try_from(idx.len()).expect("operand too large to compact"));
+        }
+        Self { row_ptr, idx, code }
     }
 }
 
-/// [`PackedOperand`] payload for the B side: column-major codes, the
-/// lane-interleaved panel rebuilt from them, and whether any code is a
-/// NaN (which forces the dense A path to keep `0 * NaN = NaN`
-/// propagation bit-exact).
+/// [`PackedOperand`] payload of either side: `len` code vectors of `k`
+/// codes each, stored contiguously — A's rows (A row-major) or B's
+/// columns (B column-major) — so the two operands look alike to the
+/// kernel whichever of them a product's orientation broadcasts. The
+/// kernel layouts are built lazily, each at most once, by the first
+/// product that needs it: a cached weight pays once per layout.
 #[derive(Debug)]
-struct MacPackedB {
-    codes_t: Arc<Vec<u8>>,
-    /// Lane-interleaved panel of the full-width column blocks (see
-    /// [`build_panel`]); the column-major `codes_t` still serves the
-    /// scalar tail, the dense fallback and narrower lane widths.
-    panel: Arc<Vec<u8>>,
+struct MacPacked {
+    codes: Arc<Vec<u8>>,
+    k: usize,
+    /// Whether any code is a NaN: a NaN lane operand forbids skipping the
+    /// broadcast operand's zeros (`0 * NaN = NaN`).
     has_nan: bool,
+    csr: OnceLock<Arc<Csr>>,
+    panel: OnceLock<Arc<Vec<u8>>>,
     fingerprint: u64,
 }
 
-/// Builds the lane-interleaved B panel from column-major `k x n` codes:
+impl MacPacked {
+    /// The zero-skipping compaction, for broadcasting this operand.
+    fn csr(&self, mag_mask: u8) -> Arc<Csr> {
+        Arc::clone(
+            self.csr
+                .get_or_init(|| Arc::new(Csr::build(&self.codes, self.k, mag_mask))),
+        )
+    }
+
+    /// The lane-interleaved panel, for running this operand in the lanes.
+    fn panel(&self, zero_code: u8) -> Arc<Vec<u8>> {
+        Arc::clone(
+            self.panel
+                .get_or_init(|| Arc::new(build_panel(&self.codes, self.k, zero_code))),
+        )
+    }
+}
+
+/// Builds the lane-interleaved panel of `len` contiguous length-`k` code
+/// vectors (`len = codes.len() / k`):
 ///
-/// - bytes `[0, n64 * k)`: 64-wide column blocks; block `b` (columns
-///   `64b .. 64b + 64`) stores code `(ci, l)` at `b*64*k + ci*64 + l`,
-///   so a k-step loads its 64 operand codes as one contiguous line;
-/// - bytes `[n64 * k, n8 * k)`: 8-wide blocks covering the next
-///   `(n - n64) & !7` columns, laid out the same way at stride 8;
-/// - the ragged tail (`n - n8 < 8` columns) has no panel entry — the
-///   scalar loop reads `codes_t` directly.
+/// - `len < 64`: one 64-wide block, vector `l` at `ci*64 + l`, lanes
+///   `len..64` padded with the `+0` code `zero`;
+/// - otherwise bytes `[0, n64 * k)` hold 64-wide blocks; block `b`
+///   (vectors `64b .. 64b + 64`) stores code `(ci, l)` at
+///   `b*64*k + ci*64 + l`, so a k-step loads its 64 lane codes as one
+///   contiguous line; bytes `[n64 * k, n8 * k)` hold 8-wide blocks
+///   covering the next `(len - n64) & !7` vectors, laid out the same way
+///   at stride 8; the ragged tail (`len - n8 < 8` vectors) has no panel
+///   entry — the scalar loop reads the vectors directly.
 ///
-/// `n64 = n - n % 64`. Tile and dispatch boundaries are multiples of 64,
-/// so no block ever straddles a job boundary.
-fn build_panel(codes_t: &[u8], k: usize, n: usize) -> Vec<u8> {
-    let n64 = n - n % 64;
-    let n8 = n64 + ((n - n64) & !7usize);
-    let mut panel = vec![0u8; n8 * k];
-    let mut interleave = |dst0: usize, col0: usize, width: usize| {
-        for l in 0..width {
-            let col = &codes_t[(col0 + l) * k..(col0 + l + 1) * k];
-            for (ci, &cd) in col.iter().enumerate() {
+/// `n64 = len - len % 64`. Tile and dispatch boundaries are multiples of
+/// 64, so no block ever straddles a job boundary.
+fn build_panel(codes: &[u8], k: usize, zero: u8) -> Vec<u8> {
+    let len = codes.len().checked_div(k).unwrap_or(0);
+    let interleave = |panel: &mut [u8], dst0: usize, v0: usize, width: usize, real: usize| {
+        for l in 0..real {
+            let v = &codes[(v0 + l) * k..(v0 + l + 1) * k];
+            for (ci, &cd) in v.iter().enumerate() {
                 panel[dst0 + ci * width + l] = cd;
             }
         }
     };
+    if len < LANES {
+        let mut panel = vec![zero; LANES * k];
+        interleave(&mut panel, 0, 0, LANES, len);
+        return panel;
+    }
+    let n64 = len - len % 64;
+    let n8 = n64 + ((len - n64) & !7usize);
+    let mut panel = vec![0u8; n8 * k];
     for b in 0..n64 / 64 {
-        interleave(b * 64 * k, b * 64, 64);
+        interleave(&mut panel, b * 64 * k, b * 64, 64, 64);
     }
     for t in 0..(n8 - n64) / 8 {
-        interleave(n64 * k + t * 8 * k, n64 + t * 8, 8);
+        interleave(&mut panel, n64 * k + t * 8 * k, n64 + t * 8, 8, 8);
     }
     panel
 }
 
-/// The A-side execution plan of one product: compacted when B is NaN-free
-/// (the fast path), dense otherwise.
+/// The execution plan of one product.
 #[derive(Clone, Debug)]
-enum AWork {
-    Dense(Arc<Vec<u8>>),
-    Compact(Arc<CompactA>),
+enum Work {
+    /// The NaN fallback in C's own frame: dense A rows against B columns.
+    Dense { a: Arc<Vec<u8>>, b: Arc<Vec<u8>> },
+    /// The compacted lane kernel in an oriented frame (see
+    /// [`MacKernel::compute_rect_compact`]).
+    Compact {
+        bcast: Arc<Csr>,
+        vecs: Arc<Vec<u8>>,
+        panel: Arc<Vec<u8>>,
+    },
 }
 
-impl AWork {
+impl Work {
+    /// Fills one rectangle of the frame's output; `n` is its width.
     #[allow(clippy::too_many_arguments)]
     fn compute_rect(
         &self,
         kernel: &MacKernel,
-        bcode_t: &[u8],
-        panel: &[u8],
         k: usize,
         n: usize,
-        row_base: usize,
+        frame: Frame,
         rows: Range<usize>,
         cols: Range<usize>,
         block: &mut [f32],
     ) {
         match self {
-            AWork::Dense(codes) => {
-                kernel.compute_rect_dense(codes, bcode_t, k, row_base, rows, cols, block);
+            Work::Dense { a, b } => {
+                kernel.compute_rect_dense(a, b, k, frame.row_base, rows, cols, block);
             }
-            AWork::Compact(compact) => {
-                kernel.compute_rect_compact(
-                    compact, bcode_t, panel, k, n, row_base, rows, cols, block,
-                );
+            Work::Compact { bcast, vecs, panel } => {
+                kernel.compute_rect_compact(bcast, vecs, panel, k, n, frame, rows, cols, block);
             }
         }
     }
@@ -1261,11 +1254,13 @@ impl MacGemm {
         &self.config
     }
 
-    /// Sets the column-lane width of the batched compacted path
-    /// (default `LANES` = 64; widths above 8 cascade down to 8-lane blocks
-    /// before the scalar tail). Results are bitwise identical at every
-    /// width — the knob exists for equivalence tests and benchmarks, not
-    /// for tuning correctness.
+    /// Sets the lane width of the batched compacted path (default
+    /// `LANES` = 64, the only width that orients its lanes along the
+    /// longer output dimension; narrower widths keep the lanes along C's
+    /// columns and cascade down to 8-lane blocks before the scalar tail,
+    /// so `lanes = 1` is the scalar reference). Results are bitwise
+    /// identical at every width — the knob exists for equivalence tests
+    /// and benchmarks, not for tuning correctness.
     ///
     /// # Panics
     ///
@@ -1377,15 +1372,42 @@ impl MacGemm {
         (u64::from(f.exp_bits()) << 9) | (u64::from(f.man_bits()) << 1) | u64::from(f.subnormals())
     }
 
-    fn unpack_a<'p>(&self, p: &'p PackedOperand, rows: usize, cols: usize) -> &'p MacPackedA {
-        assert_eq!(p.side(), PackSide::A, "operand packed for the wrong side");
+    /// Multiplier-format magnitude mask (all code bits except the sign).
+    fn mag_mask(&self) -> u8 {
+        srmac_fp::mask(self.config.mul_fmt.bits() - 1) as u8
+    }
+
+    /// Wraps contiguous length-`k` code vectors into a packed payload,
+    /// flagging NaN codes (any magnitude above infinity's).
+    fn packed(&self, codes: Vec<u8>, k: usize) -> MacPacked {
+        let fmt = self.config.mul_fmt;
+        let mag_mask = self.mag_mask();
+        let inf_mag = (fmt.inf_bits(false) & srmac_fp::mask(fmt.bits() - 1)) as u8;
+        MacPacked {
+            has_nan: codes.iter().any(|&cd| (cd & mag_mask) > inf_mag),
+            codes: Arc::new(codes),
+            k,
+            csr: OnceLock::new(),
+            panel: OnceLock::new(),
+            fingerprint: self.fingerprint(),
+        }
+    }
+
+    fn unpack<'p>(
+        &self,
+        p: &'p PackedOperand,
+        side: PackSide,
+        rows: usize,
+        cols: usize,
+    ) -> &'p MacPacked {
+        assert_eq!(p.side(), side, "operand packed for the wrong side");
         assert_eq!(
             (p.rows(), p.cols()),
             (rows, cols),
             "packed operand shape mismatch"
         );
         let payload = p
-            .payload::<MacPackedA>()
+            .payload::<MacPacked>()
             .expect("operand was not packed by a MacGemm engine"); // PANIC-OK: documented contract — operands must come from this engine's pack_a/pack_b.
         assert_eq!(
             payload.fingerprint,
@@ -1395,57 +1417,33 @@ impl MacGemm {
         payload
     }
 
-    fn unpack_b<'p>(&self, p: &'p PackedOperand, rows: usize, cols: usize) -> &'p MacPackedB {
-        assert_eq!(p.side(), PackSide::B, "operand packed for the wrong side");
-        assert_eq!(
-            (p.rows(), p.cols()),
-            (rows, cols),
-            "packed operand shape mismatch"
-        );
-        let payload = p
-            .payload::<MacPackedB>()
-            .expect("operand was not packed by a MacGemm engine"); // PANIC-OK: same pack-type contract.
-        assert_eq!(
-            payload.fingerprint,
-            self.fingerprint(),
-            "operand was packed for a different multiplier format"
-        );
-        payload
-    }
-
-    #[allow(clippy::too_many_arguments)] // internal dispatch seam: shape + operand views
-    fn gemm_codes(
+    /// Runs `work` over the `rows x cols` output of `frame` (C itself, or
+    /// `C^T` when transposed) on the tile grid.
+    fn gemm_frame(
         &self,
-        m: usize,
+        rows: usize,
         k: usize,
-        n: usize,
-        awork: &AWork,
-        bcode_t: &Arc<Vec<u8>>,
-        panel: &Arc<Vec<u8>>,
+        cols: usize,
+        work: Work,
+        frame: Frame,
         out: &mut [f32],
     ) {
         // Small products are cheaper than a pool round-trip: collapse the
         // grid to a single job (below ~32k MAC steps), which
         // `parallel_fill_blocks` then runs inline on the caller.
-        let (row_tile, col_tile) = if m * k * n < 32 * 1024 {
-            (m.max(1), n.max(64))
+        let (row_tile, col_tile) = if rows * k * cols < 32 * 1024 {
+            (rows.max(1), cols.max(64))
         } else {
             (self.kernel.tiles.row_tile, self.kernel.tiles.col_tile)
         };
         let kernel = Arc::clone(&self.kernel);
-        let awork = awork.clone();
-        let bcode_t = Arc::clone(bcode_t);
-        let panel = Arc::clone(panel);
-        let row_base = self.row_base;
         self.runtime.parallel_fill_blocks(
-            m,
-            n,
+            rows,
+            cols,
             row_tile,
             col_tile,
             out,
-            move |rows, cols, block| {
-                awork.compute_rect(&kernel, &bcode_t, &panel, k, n, row_base, rows, cols, block);
-            },
+            move |r, c, block| work.compute_rect(&kernel, k, cols, frame, r, c, block),
         );
     }
 
@@ -1514,67 +1512,29 @@ fn mix_seed(seed: u64, i: usize, j: usize) -> u64 {
 impl GemmEngine for MacGemm {
     fn pack_a(&self, rows: usize, cols: usize, a: &[f32]) -> PackedOperand {
         assert_eq!(a.len(), rows * cols, "A must be rows x cols");
-        // Block-quantize into reusable scratch, then CSR-compact the
-        // non-zero-magnitude entries; dense codes are only materialized if
-        // a NaN-carrying B ever asks for them (see
-        // [`MacPackedA::dense_codes`]).
-        let mag_mask = srmac_fp::mask(self.config.mul_fmt.bits() - 1) as u8;
-        let mut codes = self.take_codes_buf();
-        codes.resize(a.len(), 0);
+        // Row-major codes are already A's contiguous row vectors.
+        let mut codes = vec![0u8; a.len()];
         self.quant.quantize_block(a, &mut codes);
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        row_ptr.push(0u32);
-        let mut idx = Vec::with_capacity(a.len());
-        let mut code = Vec::with_capacity(a.len());
-        for row in codes.chunks(cols.max(1)) {
-            for (c, &cd) in row.iter().enumerate() {
-                if cd & mag_mask != 0 {
-                    idx.push(c as u32);
-                    code.push(cd);
-                }
-            }
-            // PANIC-OK: compacted operands are bounded far below u32::MAX entries.
-            row_ptr.push(u32::try_from(idx.len()).expect("operand too large to compact"));
-        }
-        self.recycle_codes_buf(codes);
-        let payload = MacPackedA {
-            compact: Arc::new(CompactA { row_ptr, idx, code }),
-            dense: OnceLock::new(),
-            cols,
-            zero_code: self.zero_code,
-            fingerprint: self.fingerprint(),
-        };
+        let payload = self.packed(codes, cols);
         PackedOperand::new(PackSide::A, rows, cols, Box::new(payload))
     }
 
     fn pack_b(&self, rows: usize, cols: usize, b: &[f32]) -> PackedOperand {
         assert_eq!(b.len(), rows * cols, "B must be rows x cols");
         // Block-quantize into reusable scratch (16 values per instruction
-        // on AVX-512), then scatter to column-major slots with NaN
-        // detection inlined on the code (a NaN is any magnitude above
-        // infinity's).
-        let fmt = self.config.mul_fmt;
-        let mag_mask = srmac_fp::mask(fmt.bits() - 1) as u8;
-        let inf_mag = (fmt.inf_bits(false) & srmac_fp::mask(fmt.bits() - 1)) as u8;
+        // on AVX-512), then scatter to column-major slots: B's contiguous
+        // column vectors.
         let mut codes = self.take_codes_buf();
         codes.resize(b.len(), 0);
         self.quant.quantize_block(b, &mut codes);
         let mut codes_t = vec![self.zero_code; rows * cols];
-        let mut has_nan = false;
         for (l, row) in codes.chunks(cols.max(1)).enumerate() {
             for (j, &cd) in row.iter().enumerate() {
-                has_nan |= (cd & mag_mask) > inf_mag;
                 codes_t[j * rows + l] = cd;
             }
         }
         self.recycle_codes_buf(codes);
-        let panel = build_panel(&codes_t, rows, cols);
-        let payload = MacPackedB {
-            codes_t: Arc::new(codes_t),
-            panel: Arc::new(panel),
-            has_nan,
-            fingerprint: self.fingerprint(),
-        };
+        let payload = self.packed(codes_t, rows);
         PackedOperand::new(PackSide::B, rows, cols, Box::new(payload))
     }
 
@@ -1588,16 +1548,49 @@ impl GemmEngine for MacGemm {
         out: &mut [f32],
     ) {
         assert_eq!(out.len(), m * n, "out must be m x n");
-        let a = self.unpack_a(a, m, k);
-        let b = self.unpack_b(b, k, n);
-        let awork = if b.has_nan {
-            AWork::Dense(Arc::clone(a.dense_codes()))
-        } else {
-            AWork::Compact(Arc::clone(&a.compact))
+        let a = self.unpack(a, PackSide::A, m, k);
+        let b = self.unpack(b, PackSide::B, k, n);
+        let mag_mask = self.mag_mask();
+        // The lanes go along the longer output dimension. For `m > n` that
+        // is `C^T = B^T A^T`: B's columns are broadcast down A's rows in
+        // the panel, which skips B's zeros and so needs a NaN-free A.
+        let transposed = self.kernel.lanes == LANES && m > n && !a.has_nan;
+        let frame = Frame {
+            row_base: self.row_base,
+            transposed,
         };
-        let bcode_t = Arc::clone(&b.codes_t);
-        let panel = Arc::clone(&b.panel);
-        self.gemm_codes(m, k, n, &awork, &bcode_t, &panel, out);
+        if transposed {
+            let work = Work::Compact {
+                bcast: b.csr(mag_mask),
+                vecs: Arc::clone(&a.codes),
+                panel: a.panel(self.zero_code),
+            };
+            let mut ct = vec![0.0f32; n * m];
+            self.gemm_frame(n, k, m, work, frame, &mut ct);
+            for (j, col) in ct.chunks_exact(m.max(1)).enumerate() {
+                for (i, &v) in col.iter().enumerate() {
+                    out[i * n + j] = v;
+                }
+            }
+            return;
+        }
+        let work = if b.has_nan {
+            Work::Dense {
+                a: Arc::clone(&a.codes),
+                b: Arc::clone(&b.codes),
+            }
+        } else {
+            Work::Compact {
+                bcast: a.csr(mag_mask),
+                vecs: Arc::clone(&b.codes),
+                panel: if self.kernel.lanes == LANES {
+                    b.panel(self.zero_code)
+                } else {
+                    Arc::default()
+                },
+            }
+        };
+        self.gemm_frame(m, k, n, work, frame, out);
     }
 
     // The spec atom of this configuration (`spec` module grammar), with

@@ -83,24 +83,29 @@
 //!
 //! # The tiled, fused execution pipeline
 //!
-//! On top of the lane-batched adder, `gemm_packed` executes a
+//! On top of the lane-batched adder, `gemm_packed` puts the lanes on
+//! the longer output dimension: when `m > n` it computes `C^T = B^T A^T`
+//! with the same kernels, so a tall product with few output channels
+//! still fills 64-lane blocks (a lane dimension below 64 runs as one
+//! zero-padded block). In that oriented frame it executes a
 //! cache-blocked tile grid ([`TileConfig`], runtime-tunable through
 //! [`MacGemm::with_tiles`]): the output plane is cut into
 //! `row_tile x col_tile` rectangles, each rectangle walks one
-//! column-major B-panel slice to completion before the next slice is
+//! lane-interleaved panel slice to completion before the next slice is
 //! touched, and the rectangles are the units handed to the shared
-//! worker pool for multi-core dispatch. The grid is a pure function of
-//! the shape and the tile sizes — never of the thread count — and no
-//! rectangle splits an output element, so every tile/thread combination
-//! is bitwise identical (asserted across shapes in
-//! `tests/tiled_kernel.rs`).
+//! worker pool for multi-core dispatch. Orientation and grid are pure
+//! functions of the shape and the tile sizes — never of the thread
+//! count — and no rectangle splits an output element, so every
+//! tile/thread combination is bitwise identical (asserted across tall,
+//! wide and narrow shapes in `tests/tiled_kernel.rs`).
 //!
 //! Two fusions keep the per-call constant work off the measured path:
 //!
 //! * **Quantize+pack fusion** — `pack_a`/`pack_b` quantize straight
-//!   into recycled workspace buffers (a vectorized block quantizer under
-//!   AVX-512) and compact/transpose from there; the one-shot `gemm`
-//!   allocates nothing per call beyond its packed outputs.
+//!   into their code buffers (a vectorized block quantizer under
+//!   AVX-512; B transposes from recycled scratch), and each operand's
+//!   compaction and lane panel are built lazily, once, by the first
+//!   product whose orientation needs them.
 //! * **Product-pair decode LUT** — when the accumulator algebra fits the
 //!   *narrow* u32 lane word (`ef_max + p + 2 <= 29` with the `LANE32_*`
 //!   layout, true for the paper's E6M5 family), a 256 KiB [`PairLut`]

@@ -172,6 +172,42 @@ mod tests {
         }
     }
 
+    /// Every product table is symmetric in its operands, over the full
+    /// code plane of the engine configurations the models train and
+    /// serve on. The engine leans on this: a product whose lanes run
+    /// along `m` (`C^T = B^T A^T`) looks the tables up with B's code as
+    /// the left operand and A's as the right.
+    #[test]
+    fn product_tables_are_commutative() {
+        for spec in ["fp8_fp12_sr13", "fp8_fp12_rn", "fp8_fp12_sr13_sub"] {
+            let cfg: crate::MacGemmConfig = spec.parse().expect("builtin spec");
+            let lut = ProductLut::build(cfg.mul_fmt, cfg.acc_fmt);
+            let batch = FastAdderBatch::new(cfg.acc_fmt, cfg.rounding);
+            let dlut = crate::batch::DecodedLut::build(&lut, &batch);
+            let plut = PairLut::build(&lut, &batch).expect("E6M5 fits the narrow envelope");
+            for a in 0..=255u8 {
+                for b in 0..=255u8 {
+                    let (ab, ba) = (usize::from(b), usize::from(a));
+                    assert_eq!(
+                        lut.product(a, b),
+                        lut.product(b, a),
+                        "{spec}: {a:#x}*{b:#x}"
+                    );
+                    assert_eq!(
+                        dlut.row(a)[ab],
+                        dlut.row(b)[ba],
+                        "{spec}: decoded {a:#x}*{b:#x}"
+                    );
+                    assert_eq!(
+                        plut.row(a)[ab],
+                        plut.row(b)[ba],
+                        "{spec}: pair {a:#x}*{b:#x}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn pair_lut_is_gated_by_the_narrow_envelope() {
         // E5M10 at SR13 needs p + f = 11 + 28 bits: over the u32 budget,

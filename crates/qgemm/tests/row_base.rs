@@ -25,19 +25,21 @@ fn bits(xs: &[f32]) -> Vec<u32> {
 /// Under SR, the derived engine's output over A's tail rows must equal
 /// the same rows of the base engine's full product — across output
 /// widths that exercise the 64-lane panel, the 8-lane panel and the
-/// scalar tail, and across thread counts.
+/// scalar tail, across tall shapes whose products run transposed (the
+/// lanes along A's rows, so the row offset lands in the lane seeds),
+/// and across thread counts.
 #[test]
 fn derived_rows_match_full_product_rows() {
-    let (m, k) = (13usize, 57);
+    let k = 57;
     let sr = AccumRounding::Stochastic { r: 13 };
-    for n in [9usize, 65, 130] {
+    for (m, n) in [(13usize, 9usize), (13, 65), (13, 130), (150, 4), (150, 36)] {
         let a = rand_vec(m * k, 11 + n as u64, 2.0);
         let b = rand_vec(k * n, 13 + n as u64, 2.0);
         for threads in [1usize, 4] {
             let base = MacGemm::new(MacGemmConfig::fp8_fp12(sr, true).with_threads(threads));
             let mut full = vec![0.0f32; m * n];
             base.gemm(m, k, n, &a, &b, &mut full);
-            for first_row in [1usize, 4, 9] {
+            for first_row in [1usize, 4, 9, m - 3] {
                 let rows = m - first_row;
                 let derived = base
                     .with_row_base(first_row)

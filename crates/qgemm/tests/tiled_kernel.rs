@@ -1,10 +1,12 @@
-//! Tiled-kernel equivalence suite: the cache-blocked tile grid, the
-//! multi-core tile dispatch and the narrow product-pair LUT must all be
-//! pure performance transforms. Every tile shape x thread count
-//! combination reproduces the lanes=1/threads=1 scalar reference
-//! bit-for-bit, the pair LUT changes nothing when toggled, and formats
-//! outside the narrow envelope (which silently fall back to the wide
-//! u64 kernel) obey the same invariances.
+//! Tiled-kernel equivalence suite: the lane orientation, the
+//! cache-blocked tile grid, the multi-core tile dispatch and the narrow
+//! product-pair LUT must all be pure performance transforms. Every tile
+//! shape x thread count combination reproduces the lanes=1/threads=1
+//! scalar reference bit-for-bit — on wide shapes (lanes along `n`), tall
+//! ones (lanes along `m`, computing `C^T = B^T A^T`) and lane dimensions
+//! below 64 (one zero-padded block) — the pair LUT changes nothing when
+//! toggled, and formats outside the narrow envelope (which silently fall
+//! back to the wide u64 kernel) obey the same invariances.
 //!
 //! (Lane-width invariance at the default tiling lives in
 //! `tests/lane_batch.rs`; the operand-level narrow/wide adder
@@ -41,6 +43,20 @@ fn relu_sparse_vec(n: usize, seed: u64, sparsity: f64) -> Vec<f32> {
 }
 
 const SHAPES: [(usize, usize, usize); 4] = [(5, 33, 67), (17, 40, 130), (3, 57, 8), (9, 48, 200)];
+
+/// Shapes whose lane orientation or padding differs from the wide
+/// shapes above: tall products that run transposed (lane dimensions
+/// 130 = 64 + 64 + scalar tail, 200 = 3 x 64 + an 8-lane block, exactly
+/// 64, and 129 = 64 + 64 + a one-lane tail) and a wide one whose lane
+/// dimension of 36 runs as one padded 64-lane block. `(130, 36, 4)` is
+/// the shape class of a ResNet-20 w4 stage-1 forward convolution.
+const ORIENTED_SHAPES: [(usize, usize, usize); 5] = [
+    (130, 36, 4),
+    (200, 8, 36),
+    (4, 300, 36),
+    (64, 16, 10),
+    (129, 5, 72),
+];
 
 const TILES: [TileConfig; 4] = [
     TileConfig {
@@ -91,7 +107,7 @@ fn scalar_reference(
 fn tile_thread_grid_is_bitwise_invariant() {
     for rounding in [AccumRounding::Stochastic { r: 13 }, AccumRounding::Nearest] {
         let config = MacGemmConfig::fp8_fp12(rounding, false);
-        for &(m, k, n) in &SHAPES {
+        for &(m, k, n) in SHAPES.iter().chain(&ORIENTED_SHAPES) {
             let a = rand_vec(m * k, 100 + (m * n) as u64, 2.0);
             let b = rand_vec(k * n, 200 + (k * n) as u64, 2.0);
             let reference = scalar_reference(config, m, k, n, &a, &b);
@@ -140,14 +156,14 @@ fn packed_path_is_tile_invariant() {
 
 /// The narrow product-pair LUT is engaged by default for the paper's
 /// E6M5 family and must be a no-op in the bits when toggled off (wide
-/// u64 fallback), across rounding modes, subnormal handling and ragged
-/// shapes.
+/// u64 fallback), across rounding modes, subnormal handling, ragged
+/// shapes and both lane orientations.
 #[test]
 fn pair_lut_toggle_changes_no_bits() {
     for rounding in [AccumRounding::Stochastic { r: 13 }, AccumRounding::Nearest] {
         for subnormals in [false, true] {
             let config = MacGemmConfig::fp8_fp12(rounding, subnormals);
-            for &(m, k, n) in &SHAPES {
+            for &(m, k, n) in SHAPES.iter().chain(&ORIENTED_SHAPES) {
                 let a = rand_vec(m * k, 300 + n as u64, 2.0);
                 let b = rand_vec(k * n, 400 + n as u64, 2.0);
                 let on = MacGemm::new(config.with_threads(1));
@@ -205,33 +221,83 @@ fn wide_fallback_format_keeps_tile_invariance() {
 }
 
 /// ReLU-sparse inputs (zero-product skip interacts with SR draw
-/// consumption) and saturating inputs (the special-lane scalar fixup)
-/// must survive the tiled multi-core path bit-for-bit.
+/// consumption), `-0` codes in both operands, NaN codes (which decide
+/// which operand may be zero-skipped) and saturating inputs (the
+/// special-lane scalar fixup) must survive the tiled multi-core path
+/// bit-for-bit, in both lane orientations.
 #[test]
 fn sparse_and_special_inputs_survive_tiling() {
     let config = MacGemmConfig::fp8_fp12(AccumRounding::Stochastic { r: 13 }, true);
-    let (m, k, n) = (11usize, 83, 67);
-    let a = relu_sparse_vec(m * k, 61, 0.6);
-    let b = rand_vec(k * n, 62, 2.0);
-    let reference = scalar_reference(config, m, k, n, &a, &b);
-    for tiles in [TILES[1], TILES[3]] {
-        let engine = MacGemm::new(config.with_threads(3)).with_tiles(tiles);
-        let mut out = vec![0.0f32; m * n];
-        engine.gemm(m, k, n, &a, &b, &mut out);
-        assert_bits_eq(&reference, &out, &format!("sparse tiles={tiles:?}"));
+    let check = |m: usize, k: usize, n: usize, a: &[f32], b: &[f32], what: &str| {
+        let reference = scalar_reference(config, m, k, n, a, b);
+        for tiles in [TILES[1], TILES[3]] {
+            for threads in [1usize, 3] {
+                let engine = MacGemm::new(config.with_threads(threads)).with_tiles(tiles);
+                let mut out = vec![0.0f32; m * n];
+                engine.gemm(m, k, n, a, b, &mut out);
+                assert_bits_eq(
+                    &reference,
+                    &out,
+                    &format!("{what} {m}x{k}x{n} tiles={tiles:?} threads={threads}"),
+                );
+            }
+        }
+        reference
+    };
+    for &(m, k, n) in [(11usize, 83, 67)].iter().chain(&ORIENTED_SHAPES) {
+        let seed = (m * k * n) as u64;
+        // ReLU-sparse A against dense B, then `+0`/`-0` codes in both.
+        let a = relu_sparse_vec(m * k, 61 + seed, 0.6);
+        check(m, k, n, &a, &rand_vec(k * n, 62 + seed, 2.0), "sparse A");
+        check(
+            m,
+            k,
+            n,
+            &a,
+            &relu_sparse_vec(k * n, 63 + seed, 0.5),
+            "signed zeros in A and B",
+        );
+
+        // NaN in A at a k where B's codes are zero: `NaN * 0 = NaN`
+        // must reach those outputs, so B's zeros may not be skipped (the
+        // NaN-carrying A keeps lanes along n, even when m > n).
+        let (i, kk) = (m / 2, k / 2);
+        let mut nan_a = rand_vec(m * k, 64 + seed, 2.0);
+        nan_a[i * k + kk] = f32::NAN;
+        let mut zero_b = rand_vec(k * n, 65 + seed, 2.0);
+        for j in 0..n {
+            zero_b[kk * n + j] = if j % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        let out = check(m, k, n, &nan_a, &zero_b, "NaN in A over zero B codes");
+        assert!(
+            out[i * n..(i + 1) * n].iter().all(|v| v.is_nan()),
+            "{m}x{k}x{n}: NaN * 0 must poison A's row"
+        );
+        // NaN in both operands: the dense fallback.
+        let mut nan_b = zero_b.clone();
+        nan_b[(k - 1) * n] = f32::NAN;
+        check(m, k, n, &nan_a, &nan_b, "NaN in A and B");
+        // NaN in B alone, against sparse A.
+        check(m, k, n, &a, &nan_b, "NaN in B");
     }
 
     // Saturating magnitudes drive the accumulator to infinity; the
     // special path diverts to the scalar fixup inside the vector loop.
-    let sat_a = vec![40000.0f32; m * k];
-    let sat_b = vec![40000.0f32; k * n];
-    let sat_ref = scalar_reference(config, m, k, n, &sat_a, &sat_b);
-    assert!(sat_ref.iter().all(|v| v.is_infinite()));
-    for threads in [1usize, 3] {
-        let engine = MacGemm::new(config.with_threads(threads)).with_tiles(TILES[2]);
-        let mut out = vec![0.0f32; m * n];
-        engine.gemm(m, k, n, &sat_a, &sat_b, &mut out);
-        assert_bits_eq(&sat_ref, &out, &format!("saturated threads={threads}"));
+    for (m, k, n) in [(11usize, 83, 67), (130, 36, 4)] {
+        let sat_a = vec![40000.0f32; m * k];
+        let sat_b = vec![40000.0f32; k * n];
+        let sat_ref = scalar_reference(config, m, k, n, &sat_a, &sat_b);
+        assert!(sat_ref.iter().all(|v| v.is_infinite()));
+        for threads in [1usize, 3] {
+            let engine = MacGemm::new(config.with_threads(threads)).with_tiles(TILES[2]);
+            let mut out = vec![0.0f32; m * n];
+            engine.gemm(m, k, n, &sat_a, &sat_b, &mut out);
+            assert_bits_eq(
+                &sat_ref,
+                &out,
+                &format!("saturated {m}x{k}x{n} threads={threads}"),
+            );
+        }
     }
 }
 
