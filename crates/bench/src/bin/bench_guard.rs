@@ -30,7 +30,12 @@
 //! forward convolution — catching the regressions that matter (losing
 //! the lane batching, the SIMD-tier dispatch, the zero-compaction, or
 //! the lanes' orientation along the long dimension) without betting on
-//! a shared runner's absolute wall-clock; it also verifies the
+//! a shared runner's absolute wall-clock. A third, paired kernel gate
+//! holds the 4x2304x27 conv0 weight-gradient product (lanes along its 27
+//! taps) to at most 1.4x the time of the 2304x27x4 conv0 forward product
+//! (same MAC count, lanes along 2304 rows), both on one thread whatever
+//! `--threads` says, catching a kernel that pads short lane dimensions
+//! instead of filling them. It also verifies the
 //! committed file still contains every watched entry, and gates the
 //! data-parallel trainer step's replica fan-out (4 replicas vs 1 at
 //! pinned `grad_shards = 4` — identical bits
@@ -157,6 +162,20 @@ const NARROW: (usize, usize, usize) = (2304, 36, 4);
 
 /// Floor of the production-vs-scalar speedup on [`NARROW`].
 const NARROW_FLOOR: f64 = 2.5;
+
+/// The conv0 weight-gradient product of one ResNet-20 w4 training shard
+/// at 12x12 (4 output channels x 2304 positions x 27 im2row taps): its
+/// lanes run along the 27 taps, so it only keeps pace with
+/// [`LANE_FILL_FULL`] when a short lane dimension fills its lanes.
+const LANE_FILL_NARROW: (usize, usize, usize) = (4, 2304, 27);
+
+/// The conv0 forward product of the same shard (2304x27x4): the same
+/// 248,832 MACs with the lanes along the 2304 rows.
+const LANE_FILL_FULL: (usize, usize, usize) = (2304, 27, 4);
+
+/// Ceiling of the paired [`LANE_FILL_NARROW`] / [`LANE_FILL_FULL`] time
+/// ratio.
+const LANE_FILL_CEILING: f64 = 1.4;
 
 /// A one-shot GEMM workload of shape `(m, k, n)` (seeds and engine
 /// configs as `benches/gemm.rs`), at an optional explicit lane width.
@@ -301,6 +320,47 @@ fn lane_gate(args: &Args, label: &str, shape: (usize, usize, usize), floor: f64)
     failed
 }
 
+/// Gates lane fill: the narrow-lane conv0 weight gradient against the
+/// full-lane conv0 forward product of the same MAC count, SR13 one-shot,
+/// each sample timing one of each back-to-back so host drift cancels in
+/// the median of the per-pair ratios. The engine runs on one thread
+/// whatever `--threads` says: 4x2304x27 is a single tile and always runs
+/// inline, while 2304x27x4 would split across a pool, so only a
+/// one-thread pair compares the kernels alike. Returns true when the gate
+/// fails.
+fn lane_fill_gate(args: &Args) -> bool {
+    let engine = MacGemm::new(
+        MacGemmConfig::fp8_fp12(AccumRounding::Stochastic { r: 13 }, false).with_threads(1),
+    );
+    let workload = |(m, k, n): (usize, usize, usize)| {
+        let (a, b) = (rand_vec(m * k, 1), rand_vec(k * n, 2));
+        let mut out = vec![0.0f32; m * n];
+        let engine = &engine;
+        move || {
+            let t = Instant::now();
+            engine.gemm(m, k, n, &a, &b, &mut out);
+            t.elapsed().as_nanos() as f64
+        }
+    };
+    let mut narrow = workload(LANE_FILL_NARROW);
+    let mut full = workload(LANE_FILL_FULL);
+    narrow(); // warm-up
+    full();
+    let mut pairs: Vec<(f64, f64)> = (0..args.samples.max(1))
+        .map(|_| (narrow(), full()))
+        .collect();
+    pairs.sort_by(|x, y| (x.0 / x.1).total_cmp(&(y.0 / y.1)));
+    let (narrow_ns, full_ns) = pairs[pairs.len() / 2];
+    let ratio = narrow_ns / full_ns;
+    let failed = ratio > LANE_FILL_CEILING;
+    let verdict = if failed { "REGRESSION" } else { "ok" };
+    println!(
+        "lane fill SR13 (1 thread): 4x2304x27 {narrow_ns:>12.0} ns vs 2304x27x4 \
+         {full_ns:>12.0} ns (paired ratio {ratio:.2}x, ceiling {LANE_FILL_CEILING:.2}x) {verdict}"
+    );
+    failed
+}
+
 /// The machine-independent gate: lane batching must beat the scalar
 /// kernel on this very host, the data-parallel trainer step and the
 /// replicated inference server must scale with replicas/workers
@@ -338,6 +398,9 @@ fn run_relative(args: &Args, committed: &[srmac_bench::guard::CommittedMedian]) 
     // The same gate on a tall, narrow training shape: production must
     // put its lanes on the long dimension to clear this floor.
     failed |= lane_gate(args, "gemm_2304x36x4", NARROW, NARROW_FLOOR);
+    // A short lane dimension must fill its lanes: no more than a
+    // remainder block's pad of +0 lanes may go idle.
+    failed |= lane_fill_gate(args);
     // Replica scaling of the full trainer step: the 4-replica variant
     // computes the same bits as the 1-replica one (grad_shards pinned at
     // 4), so wall-clock is the only thing that may move. Trainer steps

@@ -656,8 +656,9 @@ impl FastAdderBatch {
 /// 64-lane state round-trips through the stack each step).
 ///
 /// This *is* the default fast path on AVX-512 hardware: the engine's
-/// runtime tier dispatch (`SimdTier::detect`) routes every 64-lane panel
-/// block here as four interleaved 16-lane chains. Everything is a 1:1 translation
+/// runtime tier dispatch (`SimdTier::detect`) routes every panel block
+/// here — 64 lanes as four interleaved 16-lane chains, a remainder
+/// block of 16, 32 or 48 lanes as one to three. Everything is a 1:1 translation
 /// of [`FastAdderBatch::add_core32`] — same variable names, same
 /// clamping, same select order — plus the draw/zero-skip/special
 /// semantics of `mac_step32`, and the randomized cross-check in this
@@ -1023,6 +1024,67 @@ pub(crate) mod z16 {
         }
     }
 
+    /// `out[l] = decode[encode32(accs[l])]` for the first `out.len()`
+    /// lanes, 16 per step: [`FastAdderBatch::encode32`] as masked
+    /// selects, then one gather from `decode`, the accumulator format's
+    /// value table indexed by encoding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `decode` has fewer than `1 << bits` entries or `out` is
+    /// longer than `accs`.
+    #[target_feature(
+        enable = "avx512f",
+        enable = "avx512bw",
+        enable = "avx512dq",
+        enable = "avx512vl",
+        enable = "avx512cd"
+    )]
+    pub(crate) fn decode_lanes(
+        batch: &FastAdderBatch,
+        decode: &[f32],
+        accs: &[u32],
+        out: &mut [f32],
+    ) {
+        let spec = &batch.spec;
+        let enc_mask = srmac_fp::mask(spec.fmt.bits()) as u32;
+        assert!(decode.len() > enc_mask as usize && out.len() <= accs.len());
+        let b32 = |v: u32| _mm512_set1_epi32(v as i32);
+        let (one, half, mmask) = (b32(1), b32(batch.half as u32), b32(spec.mmask as u32));
+        let (mbits, sign_at) = (b32(spec.mbits), b32(batch.enc_sign_shift));
+        for (acc, o) in accs.chunks(16).zip(out.chunks_mut(16)) {
+            let kout = (u32::MAX >> (32 - o.len())) as __mmask16;
+            // SAFETY: `kout` covers only the `o.len() <= acc.len()` lanes
+            // both slices hold; the gather indices are masked to
+            // `enc_mask < decode.len()`.
+            #[allow(unsafe_code)]
+            unsafe {
+                let w = _mm512_maskz_loadu_epi32(kout, acc.as_ptr().cast());
+                let sig = _mm512_and_si512(w, b32(0xFFFF));
+                let ef = _mm512_and_si512(_mm512_srli_epi32::<EF32_SHIFT>(w), b32(0x1FFF));
+                let sbit = _mm512_sllv_epi32(_mm512_srli_epi32::<31>(w), sign_at);
+                let normal = _mm512_or_si512(
+                    sbit,
+                    _mm512_or_si512(
+                        _mm512_sllv_epi32(_mm512_add_epi32(ef, one), mbits),
+                        _mm512_and_si512(sig, mmask),
+                    ),
+                );
+                let tiny = _mm512_cmplt_epu32_mask(sig, half);
+                let enc = _mm512_mask_mov_epi32(normal, tiny, _mm512_or_si512(sbit, sig));
+                let special = _mm512_test_epi32_mask(w, b32(LANE32_SPECIAL));
+                let enc = _mm512_and_si512(_mm512_mask_mov_epi32(enc, special, w), b32(enc_mask));
+                let vals = _mm512_mask_i32gather_ps::<4>(
+                    _mm512_setzero_ps(),
+                    kout,
+                    enc,
+                    decode.as_ptr().cast(),
+                );
+                _mm512_mask_storeu_ps(o.as_mut_ptr(), kout, vals);
+            }
+        }
+    }
+
     /// One 16-column narrow dot product: columns `lane0 .. lane0 + 16`
     /// of a lane-interleaved panel block with row stride `stride`,
     /// accumulated over the compacted A entries `(ids, cods)`. Returns
@@ -1036,7 +1098,7 @@ pub(crate) mod z16 {
     /// zero-magnitude products neither touch the accumulator nor consume
     /// a draw.
     ///
-    /// The single-chain reference of [`dot64_narrow`], which this
+    /// The single-chain reference of [`dot_narrow`], which this
     /// module's tests pin against it chain by chain; the engine never
     /// runs it. Callers discharge the `#[target_feature]` obligation: the
     /// CPU must support AVX-512 F/BW/DQ/VL/CD.
@@ -1151,13 +1213,15 @@ pub(crate) mod z16 {
         }};
     }
 
-    /// The full interleaved dot-product body — a macro (not a fn) so it
-    /// expands textually into each instantiation: a function boundary
-    /// here would pass `Consts` by reference and un-fold the literal
-    /// constants that `consts_e6m5` exists to provide.
+    /// The full interleaved dot-product body over a `$w`-lane panel
+    /// block, one 16-lane chain per listed `(acc, seeds_lo, seeds_hi, q)`
+    /// tuple — a macro (not a fn) so it expands textually into each
+    /// instantiation: a function boundary here would pass `Consts` by
+    /// reference and un-fold the literal constants that `consts_e6m5`
+    /// exists to provide.
     macro_rules! dot_body {
         ($sr:expr, $c:expr, $batch:expr, $table:expr, $ids:expr, $cods:expr, $pan:expr,
-         $stride:expr, $lane0:expr, $seeds:expr, $w:literal,
+         $stride:expr, $lane0:expr, $seeds:expr, $w:ident,
          [$(($acc:ident, $slo:ident, $shi:ident, $q:literal)),+]) => {{
             let c = $c;
             let gamma = _mm512_set1_epi64(SPLITMIX_GAMMA as i64);
@@ -1180,17 +1244,34 @@ pub(crate) mod z16 {
         }};
     }
 
-    /// A full 64-column panel block in one `k` pass: four interleaved
-    /// 16-lane chains, bit-identical to four [`dot16_narrow`] calls at
-    /// `lane0 + 0/16/32/48`.
+    /// [`dot_body!`] with `$w / 16` interleaved chains. `$w` is a const
+    /// generic, so every width but one is a dead arm at
+    /// monomorphization.
+    macro_rules! dot_chains {
+        ($($arg:expr),+; $w:ident) => {
+            match $w / 16 {
+                1 => dot_body! { $($arg),+, $w, [(a0, s0, s1, 0)] },
+                2 => dot_body! { $($arg),+, $w, [(a0, s0, s1, 0), (a1, s2, s3, 1)] },
+                3 => dot_body! { $($arg),+, $w, [(a0, s0, s1, 0), (a1, s2, s3, 1), (a2, s4, s5, 2)] },
+                _ => dot_body! {
+                    $($arg),+, $w,
+                    [(a0, s0, s1, 0), (a1, s2, s3, 1), (a2, s4, s5, 2), (a3, s6, s7, 3)]
+                },
+            }
+        };
+    }
+
+    /// A `W`-lane panel block (`W` in 16, 32, 48, 64: code `(ci, l)` at
+    /// `pan[ci * W + l]`) in one `k` pass: `W / 16` interleaved 16-lane
+    /// chains, bit-identical to [`dot16_narrow`] calls at stride `W` and
+    /// `lane0 = 0, 16, ...`.
     ///
     /// Interleaving is the point: one 16-lane chain is a serial
     /// `add_core` dependency per `k` step, so a lone chain is bound by
-    /// its latency. Four independent accumulator chains in the same loop
-    /// body give the out-of-order core ~4x the exploitable parallelism,
+    /// its latency. Independent accumulator chains in the same loop body
+    /// give the out-of-order core up to 4x the exploitable parallelism,
     /// and the per-step scalars (`ci`, `ca`, the LUT row pointer) are
-    /// computed once instead of four times.
-    #[allow(clippy::too_many_arguments)]
+    /// computed once per block instead of once per chain.
     #[target_feature(
         enable = "avx512f",
         enable = "avx512bw",
@@ -1198,52 +1279,28 @@ pub(crate) mod z16 {
         enable = "avx512vl",
         enable = "avx512cd"
     )]
-    pub(crate) fn dot64_narrow<const SR: bool>(
+    pub(crate) fn dot_narrow<const SR: bool, const W: usize>(
         batch: &FastAdderBatch,
         table: &[u32; 1 << 16],
         ids: &[u32],
         cods: &[u8],
         pan: &[u8],
-        stride: usize,
-        lane0: usize,
-        seeds: &[u64; 64],
-    ) -> [u32; 64] {
+        seeds: &[u64; W],
+    ) -> [u32; W] {
+        const { assert!(W == 16 || W == 32 || W == 48 || W == 64) };
         match is_e6m5::<SR>(batch) {
-            Some(true) => {
-                dot64_e6m5::<SR, true>(batch, table, ids, cods, pan, stride, lane0, seeds)
-            }
-            Some(false) => {
-                dot64_e6m5::<SR, false>(batch, table, ids, cods, pan, stride, lane0, seeds)
-            }
+            Some(true) => dot_e6m5::<SR, true, W>(batch, table, ids, cods, pan, seeds),
+            Some(false) => dot_e6m5::<SR, false, W>(batch, table, ids, cods, pan, seeds),
             None => {
                 let c = consts(batch);
-                dot_body!(
-                    SR,
-                    c,
-                    batch,
-                    table,
-                    ids,
-                    cods,
-                    pan,
-                    stride,
-                    lane0,
-                    seeds,
-                    64,
-                    [
-                        (a0, s0, s1, 0),
-                        (a1, s2, s3, 1),
-                        (a2, s4, s5, 2),
-                        (a3, s6, s7, 3)
-                    ]
-                )
+                dot_chains!(SR, c, batch, table, ids, cods, pan, W, 0, seeds; W)
             }
         }
     }
 
-    /// The literal-constant E6M5 instantiation of [`dot64_narrow`] (a
-    /// single `dot64_body` call site, so the body inlines and every
+    /// The literal-constant E6M5 instantiation of [`dot_narrow`] (a
+    /// single `dot_chains` call site, so the body inlines and every
     /// `Consts` field constant-folds).
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(
         enable = "avx512f",
         enable = "avx512bw",
@@ -1251,36 +1308,16 @@ pub(crate) mod z16 {
         enable = "avx512vl",
         enable = "avx512cd"
     )]
-    fn dot64_e6m5<const SR: bool, const SUB: bool>(
+    fn dot_e6m5<const SR: bool, const SUB: bool, const W: usize>(
         batch: &FastAdderBatch,
         table: &[u32; 1 << 16],
         ids: &[u32],
         cods: &[u8],
         pan: &[u8],
-        stride: usize,
-        lane0: usize,
-        seeds: &[u64; 64],
-    ) -> [u32; 64] {
+        seeds: &[u64; W],
+    ) -> [u32; W] {
         let c = consts_e6m5::<SR, SUB>();
-        dot_body!(
-            SR,
-            c,
-            batch,
-            table,
-            ids,
-            cods,
-            pan,
-            stride,
-            lane0,
-            seeds,
-            64,
-            [
-                (a0, s0, s1, 0),
-                (a1, s2, s3, 1),
-                (a2, s4, s5, 2),
-                (a3, s6, s7, 3)
-            ]
-        )
+        dot_chains!(SR, c, batch, table, ids, cods, pan, W, 0, seeds; W)
     }
 }
 
@@ -1913,8 +1950,9 @@ mod tests {
     /// (scalar-verified) `mac_step32` + `SrLaneStreams` machinery: random
     /// compacted-A streams and panel bytes over the full e5m2 code plane —
     /// zeros (zero-skip + no draw), NaN/Inf codes (the `#[cold]` scalar
-    /// fixup), every 16-lane chunk of 16/32/64-stride panel blocks, RN and
-    /// SR13, and the interleaved 64-lane kernel against four single chains.
+    /// fixup), every 16-lane chunk of 16/32/48/64-stride panel blocks, RN
+    /// and SR13 — and every `W`-wide interleaved block (`W` = the stride)
+    /// against its `W / 16` single chains.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn z16_dot_matches_scalar_mac_loop() {
@@ -1927,6 +1965,47 @@ mod tests {
             eprintln!("skipping z16 equivalence test: no AVX-512 at runtime");
             return;
         }
+        /// Runs `f` under the runtime `sr` flag as a const generic.
+        macro_rules! by_sr {
+            ($sr:expr, $f:ident [$($g:ident),*] ($($arg:expr),*)) => {
+                if $sr {
+                    z16::$f::<true $(, $g)*>($($arg),*)
+                } else {
+                    z16::$f::<false $(, $g)*>($($arg),*)
+                }
+            };
+        }
+        /// One `W`-wide block over a `W`-stride panel, chain by chain
+        /// against single-chain calls at the same seeds.
+        #[allow(clippy::too_many_arguments)]
+        fn check_block<const W: usize>(
+            sr: bool,
+            batch: &FastAdderBatch,
+            table: &[u32; 1 << 16],
+            ids: &[u32],
+            cods: &[u8],
+            pan: &[u8],
+            seeds: &[u64; W],
+            what: &str,
+        ) {
+            // SAFETY: the caller verified AVX-512 F/BW/DQ/VL/CD at runtime.
+            #[allow(unsafe_code)]
+            unsafe {
+                let wide = by_sr!(sr, dot_narrow[W](batch, table, ids, cods, pan, seeds));
+                for q in 0..W / 16 {
+                    let chain_seeds: &[u64; 16] = seeds[q * 16..q * 16 + 16].try_into().unwrap();
+                    let single = by_sr!(
+                        sr,
+                        dot16_narrow[](batch, table, ids, cods, pan, W, q * 16, chain_seeds)
+                    );
+                    assert_eq!(
+                        wide[q * 16..q * 16 + 16],
+                        single,
+                        "{what}: {W}-wide chain {q}"
+                    );
+                }
+            }
+        }
         let lut = ProductLut::build(FpFormat::e5m2(), FpFormat::e6m5());
         let mut rng = SplitMix64::new(0xD0716);
         for mode in [AccumRounding::Nearest, AccumRounding::Stochastic { r: 13 }] {
@@ -1934,8 +2013,8 @@ mod tests {
             let batch = FastAdderBatch::new(FpFormat::e6m5(), mode);
             let plut = PairLut::build(&lut, &batch).expect("e6m5 fits the narrow envelope");
             for case in 0..160 {
-                let stride = [16usize, 32, 64][case % 3];
-                let lane0 = (case / 3 % (stride / 16)) * 16;
+                let stride = [16usize, 32, 48, 64][case % 4];
+                let lane0 = (case / 4 % (stride / 16)) * 16;
                 let rows = 1 + (rng.next_u64() % 48) as usize;
                 let pan: Vec<u8> = (0..rows * stride).map(|_| rng.next_u64() as u8).collect();
                 // Compacted A: ascending ids, codes across the whole
@@ -1973,8 +2052,9 @@ mod tests {
                 // SAFETY: AVX-512 F/BW/DQ/VL/CD verified at runtime above.
                 #[allow(unsafe_code)]
                 let got = unsafe {
-                    if sr {
-                        z16::dot16_narrow::<true>(
+                    by_sr!(
+                        sr,
+                        dot16_narrow[](
                             &batch,
                             plut.table(),
                             &ids,
@@ -1982,20 +2062,9 @@ mod tests {
                             &pan,
                             stride,
                             lane0,
-                            &seeds,
+                            &seeds
                         )
-                    } else {
-                        z16::dot16_narrow::<false>(
-                            &batch,
-                            plut.table(),
-                            &ids,
-                            &cods,
-                            &pan,
-                            stride,
-                            lane0,
-                            &seeds,
-                        )
-                    }
+                    )
                 };
                 for l in 0..16 {
                     assert_eq!(
@@ -2004,74 +2073,23 @@ mod tests {
                     );
                 }
 
-                // The interleaved 64-wide kernel == four 16-wide calls
-                // (themselves pinned to the scalar loop above).
-                if stride == 64 {
-                    let seeds64: [u64; 64] = std::array::from_fn(|_| rng.next_u64());
-                    // SAFETY: AVX-512 F/BW/DQ/VL/CD verified at runtime above.
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        let (wide, quads) = if sr {
-                            (
-                                z16::dot64_narrow::<true>(
-                                    &batch,
-                                    plut.table(),
-                                    &ids,
-                                    &cods,
-                                    &pan,
-                                    64,
-                                    0,
-                                    &seeds64,
-                                ),
-                                std::array::from_fn::<_, 4, _>(|q| {
-                                    z16::dot16_narrow::<true>(
-                                        &batch,
-                                        plut.table(),
-                                        &ids,
-                                        &cods,
-                                        &pan,
-                                        64,
-                                        q * 16,
-                                        seeds64[q * 16..q * 16 + 16].try_into().unwrap(),
-                                    )
-                                }),
-                            )
-                        } else {
-                            (
-                                z16::dot64_narrow::<false>(
-                                    &batch,
-                                    plut.table(),
-                                    &ids,
-                                    &cods,
-                                    &pan,
-                                    64,
-                                    0,
-                                    &seeds64,
-                                ),
-                                std::array::from_fn::<_, 4, _>(|q| {
-                                    z16::dot16_narrow::<false>(
-                                        &batch,
-                                        plut.table(),
-                                        &ids,
-                                        &cods,
-                                        &pan,
-                                        64,
-                                        q * 16,
-                                        seeds64[q * 16..q * 16 + 16].try_into().unwrap(),
-                                    )
-                                }),
-                            )
-                        };
-                        for q in 0..4 {
-                            assert_eq!(
-                                wide[q * 16..q * 16 + 16],
-                                quads[q],
-                                "{mode:?} case {case}: 64-wide chain {q}"
-                            );
-                        }
-                    }
+                // The interleaved block as wide as the panel == its
+                // single chains (themselves pinned to the scalar loop).
+                let what = format!("{mode:?} case {case}");
+                let (t, i, c, p) = (plut.table(), &ids[..], &cods[..], &pan[..]);
+                match stride {
+                    16 => check_block::<16>(sr, &batch, t, i, c, p, &rng_seeds(&mut rng), &what),
+                    32 => check_block::<32>(sr, &batch, t, i, c, p, &rng_seeds(&mut rng), &what),
+                    48 => check_block::<48>(sr, &batch, t, i, c, p, &rng_seeds(&mut rng), &what),
+                    _ => check_block::<64>(sr, &batch, t, i, c, p, &rng_seeds(&mut rng), &what),
                 }
             }
         }
+    }
+
+    /// `W` fresh stream seeds.
+    #[cfg(target_arch = "x86_64")]
+    fn rng_seeds<const W: usize>(rng: &mut SplitMix64) -> [u64; W] {
+        std::array::from_fn(|_| rng.next_u64())
     }
 }

@@ -7,19 +7,20 @@
 //! # Pack/plan lifecycle
 //!
 //! [`MacGemm`] implements the prepared-operand pipeline of
-//! [`GemmEngine`]: [`GemmEngine::pack_a`] quantizes a matrix to row-major
-//! FP8 codes, [`GemmEngine::pack_b`] quantizes *and* materializes the
-//! column-major transpose (so every dot product reads both operands
-//! contiguously), and [`GemmEngine::gemm_packed`] runs only the
-//! accumulation loops. The one-shot [`GemmEngine::gemm`] is the trait's
-//! default composition of the three. Packing depends only on the operand
-//! values and the multiplier format — never on the accumulator format,
-//! rounding mode, seed or thread count — so a packed weight can be reused
-//! across forward, backward and evaluation products, and even across
-//! engines that share a multiplier format. The two kernel layouts of an
-//! operand (its zero-skipping compaction and its lane-interleaved panel)
-//! are built lazily, each at most once, by the first product that needs
-//! it.
+//! [`GemmEngine`]: [`GemmEngine::pack_a`] and [`GemmEngine::pack_b`]
+//! only quantize a matrix to row-major FP8 codes (no transpose), and
+//! [`GemmEngine::gemm_packed`] runs only the accumulation loops. The
+//! one-shot [`GemmEngine::gemm`] is the trait's default composition of
+//! the three. Packing depends only on the operand values and the
+//! multiplier format — never on the accumulator format, rounding mode,
+//! seed or thread count — so a packed weight can be reused across
+//! forward, backward and evaluation products, and even across engines
+//! that share a multiplier format. The kernel layouts of an operand are
+//! built lazily, each at most once, by the first product that needs it:
+//! its lane-interleaved panel (when it fills the lanes; for B a strided
+//! copy of its row-major codes), its zero-skipping compaction (when it
+//! is broadcast) and, for B only, its contiguous column vectors (which
+//! the compaction, the NaN fallback and narrow lane widths read).
 //!
 //! # Orientation
 //!
@@ -29,8 +30,9 @@
 //! alone: lanes along `n` (C itself) when `n >= m`, otherwise along `m`
 //! by computing `C^T = B^T A^T` with the same kernels. In the frame, one
 //! operand is *broadcast* (its non-zero-magnitude codes, in `k` order,
-//! drive an oriented row) and the other fills the lane panel. A lane
-//! dimension below 64 runs as one zero-padded 64-lane block.
+//! drive an oriented row) and the other fills the lane panel. The lane
+//! dimension runs as 64-lane blocks and one remainder block of 16, 32,
+//! 48 or 64 lanes, padded with `+0` codes only up to the next 16.
 //!
 //! # Determinism contract
 //!
@@ -58,17 +60,18 @@ use crate::fastmath::{AccumRounding, FastAdder, FastQuantizer};
 use crate::lut::{PairLut, ProductLut};
 
 /// Default lane width of the batched compacted accumulation loop: the
-/// number of output elements along the oriented frame's lane dimension
-/// (see the module docs) that [`FastAdderBatch`] advances per step. The
-/// per-element accumulation chain is serial in `k`, so wall-clock is
-/// bounded by chain *latency* unless enough independent chains are in
-/// flight to cover it: under AVX-512 the z16 kernel runs a 64-lane block
-/// as four interleaved 16-lane u32 chains, elsewhere LLVM vectorizes the
-/// portable loop. A lane dimension of 64 or more cascades 64-lane blocks
-/// → 8-lane blocks → a scalar tail; a shorter one is one zero-padded
-/// 64-lane block. [`MacGemm::with_lane_width`] narrows the width for
+/// widest block of output elements along the oriented frame's lane
+/// dimension (see the module docs) that [`FastAdderBatch`] advances per
+/// step. The per-element accumulation chain is serial in `k`, so
+/// wall-clock is bounded by chain *latency* unless enough independent
+/// chains are in flight to cover it: under AVX-512 the z16 kernel runs a
+/// 64-lane block as four interleaved 16-lane u32 chains, elsewhere LLVM
+/// vectorizes the portable loop. The lane dimension is cut into 64-lane
+/// blocks and one remainder block of `16 * ceil((n % 64) / 16)` lanes
+/// (one to four chains), so every lane but at most 15 padding lanes
+/// does work. [`MacGemm::with_lane_width`] narrows the width for
 /// equivalence testing and benchmarking (narrower widths keep C's own
-/// frame).
+/// frame and the legacy gather loop).
 const LANES: usize = 64;
 
 /// Cache-blocking tile sizes of the tiled execution path.
@@ -87,7 +90,8 @@ const LANES: usize = 64;
 /// combination.
 ///
 /// `col_tile` must be a multiple of the 64-lane block width so tile
-/// boundaries never split a lane block. Defaults come from
+/// boundaries never split a lane block (the one remainder block sits
+/// past the last multiple of 64, inside the last tile). Defaults come from
 /// [`TileConfig::auto`], derived with `probe_tune kernel`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TileConfig {
@@ -614,79 +618,65 @@ impl MacKernel {
         std::array::from_fn(|l| batch.encode32(acc[l]) as u16)
     }
 
-    /// One `L`-wide panel block of an oriented row, through the narrow
-    /// loop when the pair LUT is engaged and the wide loop otherwise.
-    /// `seed_of(l)` is lane `l`'s stream seed; `out` receives the first
-    /// `out.len()` lanes (shorter than `L` for a zero-padded block, whose
-    /// padding lanes are dropped).
+    /// One `W`-wide panel block of an oriented row (`W` in 16, 32, 48,
+    /// 64), through the narrow loop when the pair LUT is engaged and the
+    /// wide loop otherwise. `seeds[l]` is lane `l`'s stream seed; `out`
+    /// receives the first `out.len()` lanes (shorter than `W` for a
+    /// zero-padded remainder block, whose padding lanes are dropped).
     ///
-    /// Under the AVX-512 tier a 64-lane narrow block runs through the
-    /// explicit `z16` kernel (four interleaved 16-lane u32 chains,
+    /// Under the AVX-512 tier a narrow block runs through the explicit
+    /// `z16` kernel (`W / 16` interleaved 16-lane u32 chains,
     /// accumulators register-resident across the whole `k` loop);
     /// elsewhere it is the portable SWAR loop above, auto-vectorized.
     #[inline(always)]
-    fn panel_block<const L: usize>(
+    fn panel_block<const W: usize>(
         &self,
         ids: &[u32],
         cods: &[u8],
         pan: &[u8],
-        seed_of: impl Fn(usize) -> u64,
+        seeds: &[u64; W],
         out: &mut [f32],
     ) {
         let sr = !matches!(self.rounding, AccumRounding::Nearest);
         if let Some(plut) = &self.plut {
             #[cfg(target_arch = "x86_64")]
-            if self.tier == SimdTier::Avx512 && L == 64 {
-                let seeds: [u64; 64] = std::array::from_fn(seed_of);
+            if self.tier == SimdTier::Avx512 {
                 // SAFETY: `SimdTier::detect` verified every feature the
                 // z16 kernel enables.
                 #[allow(unsafe_code)]
-                let accs = unsafe {
-                    if sr {
-                        z16::dot64_narrow::<true>(
-                            &self.batch,
-                            plut.table(),
-                            ids,
-                            cods,
-                            pan,
-                            64,
-                            0,
-                            &seeds,
-                        )
+                unsafe {
+                    let accs = if sr {
+                        z16::dot_narrow::<true, W>(&self.batch, plut.table(), ids, cods, pan, seeds)
                     } else {
-                        z16::dot64_narrow::<false>(
+                        z16::dot_narrow::<false, W>(
                             &self.batch,
                             plut.table(),
                             ids,
                             cods,
                             pan,
-                            64,
-                            0,
-                            &seeds,
+                            seeds,
                         )
-                    }
-                };
-                for (o, &a) in out.iter_mut().zip(&accs) {
-                    *o = self.decode[self.batch.encode32(a) as usize];
+                    };
+                    z16::decode_lanes(&self.batch, &self.decode, &accs, out);
                 }
                 return;
             }
-            let mut streams = SrLaneStreams::new(std::array::from_fn(seed_of));
+            let mut streams = SrLaneStreams::new(*seeds);
             let accs = if sr {
-                self.dotn_panel_narrow::<L, true>(plut, ids, cods, pan, &mut streams)
+                self.dotn_panel_narrow::<W, true>(plut, ids, cods, pan, &mut streams)
             } else {
-                self.dotn_panel_narrow::<L, false>(plut, ids, cods, pan, &mut streams)
+                self.dotn_panel_narrow::<W, false>(plut, ids, cods, pan, &mut streams)
             };
             for (o, &a) in out.iter_mut().zip(&accs) {
                 *o = self.decode[a as usize];
             }
             return;
         }
-        let mut streams = SrLaneStreams::new(std::array::from_fn(seed_of));
+        let mut streams = SrLaneStreams::new(*seeds);
         let accs = if sr {
-            self.dotn_panel_wide::<L, true>(ids, cods, pan, &mut streams)
+            self.dotn_panel_wide::<W, true>(ids, cods, pan, &mut streams)
         } else {
-            self.dotn_panel_wide::<L, false>(ids, cods, pan, &mut streams)
+            self.dotn_panel_wide::<W, false>(ids, cods, pan, &mut streams)
         };
         for (o, &a) in out.iter_mut().zip(&accs) {
             *o = self.decode[a as usize];
@@ -694,9 +684,9 @@ impl MacKernel {
     }
 
     /// Runs lane blocks of width `L` over columns `*j .. cols.end` of one
-    /// output row `i`, gathering from column-major `bcode_t` and advancing
-    /// `j` past every complete block (the legacy, non-panel loop kept for
-    /// explicit lane widths below 64).
+    /// output row `i`, gathering from the contiguous vectors `bcode_t` and
+    /// advancing `j` past every complete block (the legacy, non-panel
+    /// loop kept for explicit lane widths below 64).
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn lane_blocks<const L: usize>(
@@ -733,20 +723,20 @@ impl MacKernel {
     /// Compacted rectangle kernel in an oriented frame: fills oriented
     /// rows `rows` x lane columns `cols` into `block` (row-major, stride
     /// `cols.len()`). `bcast` is the broadcast operand's compaction (one
-    /// CSR row per oriented row), `vecs` the lane operand's contiguous
-    /// length-`k` code vectors and `panel` their lane-interleaved layout
-    /// (see [`build_panel`]); `n` is the lane dimension. Requires a
-    /// NaN-free lane operand (see [`MacKernel::dot_compact`]).
-    /// Bit-identical to the scalar path for every lane width, tile shape
-    /// and column range — the tiling only reorders *which independent
-    /// element* is computed when. Dispatches once onto the detected
-    /// [`SimdTier`]'s codegen of the (identical) loop body.
+    /// CSR row per oriented row); `lanes` is the lane operand's panel
+    /// (see [`build_panel`]) at the production lane width, and its
+    /// contiguous length-`k` code vectors at an explicit narrower one; `n`
+    /// is the lane dimension. Requires a NaN-free lane operand (see
+    /// [`MacKernel::dot_compact`]). Bit-identical to the scalar path for
+    /// every lane width, tile shape and column range — the tiling only
+    /// reorders *which independent element* is computed when. Dispatches
+    /// once onto the detected [`SimdTier`]'s codegen of the (identical)
+    /// loop body.
     #[allow(clippy::too_many_arguments)] // internal dispatch seam: shape + operand views
     fn compute_rect_compact(
         &self,
         bcast: &Csr,
-        vecs: &[u8],
-        panel: &[u8],
+        lanes: &[u8],
         k: usize,
         n: usize,
         frame: Frame,
@@ -761,9 +751,7 @@ impl MacKernel {
                 // CPU has every feature the callee enables.
                 #[allow(unsafe_code)]
                 unsafe {
-                    self.compute_rect_compact_avx512(
-                        bcast, vecs, panel, k, n, frame, rows, cols, block,
-                    );
+                    self.compute_rect_compact_avx512(bcast, lanes, k, n, frame, rows, cols, block);
                 }
             }
             #[cfg(target_arch = "x86_64")]
@@ -771,13 +759,11 @@ impl MacKernel {
                 // SAFETY: as above — `avx2` was detected at runtime.
                 #[allow(unsafe_code)]
                 unsafe {
-                    self.compute_rect_compact_avx2(
-                        bcast, vecs, panel, k, n, frame, rows, cols, block,
-                    );
+                    self.compute_rect_compact_avx2(bcast, lanes, k, n, frame, rows, cols, block);
                 }
             }
             SimdTier::Portable => {
-                self.compute_rect_compact_body(bcast, vecs, panel, k, n, frame, rows, cols, block);
+                self.compute_rect_compact_body(bcast, lanes, k, n, frame, rows, cols, block);
             }
         }
     }
@@ -797,8 +783,7 @@ impl MacKernel {
     fn compute_rect_compact_avx512(
         &self,
         bcast: &Csr,
-        vecs: &[u8],
-        panel: &[u8],
+        lanes: &[u8],
         k: usize,
         n: usize,
         frame: Frame,
@@ -806,7 +791,7 @@ impl MacKernel {
         cols: Range<usize>,
         block: &mut [f32],
     ) {
-        self.compute_rect_compact_body(bcast, vecs, panel, k, n, frame, rows, cols, block);
+        self.compute_rect_compact_body(bcast, lanes, k, n, frame, rows, cols, block);
     }
 
     /// AVX2 codegen of the compacted loop (4-lane `ymm` arithmetic).
@@ -816,8 +801,7 @@ impl MacKernel {
     fn compute_rect_compact_avx2(
         &self,
         bcast: &Csr,
-        vecs: &[u8],
-        panel: &[u8],
+        lanes: &[u8],
         k: usize,
         n: usize,
         frame: Frame,
@@ -825,7 +809,7 @@ impl MacKernel {
         cols: Range<usize>,
         block: &mut [f32],
     ) {
-        self.compute_rect_compact_body(bcast, vecs, panel, k, n, frame, rows, cols, block);
+        self.compute_rect_compact_body(bcast, lanes, k, n, frame, rows, cols, block);
     }
 
     /// The tier-independent rectangle body (inlined into each tier wrapper
@@ -833,22 +817,21 @@ impl MacKernel {
     ///
     /// At the production lane width (64) this is the tiled loop: lane
     /// tiles of `self.tiles.col_tile` outermost, the rectangle's rows
-    /// next, lane blocks innermost — every row of the rectangle reuses
-    /// one `col_tile * k`-byte panel slice before the loop moves on. A
-    /// lane dimension below 64 is one zero-padded 64-lane block; a
-    /// longer one is partitioned into 64-wide blocks, then 8-wide
-    /// blocks, then a scalar tail read from `vecs`. Tile and dispatch
-    /// boundaries are 64-aligned, so they never split a block. Explicit
-    /// narrower lane widths take the legacy gather loop over `vecs`,
-    /// which keeps the equivalence suites exercising both layouts
-    /// against each other.
+    /// next, panel blocks innermost — every row of the rectangle reuses
+    /// one `col_tile * k`-byte panel slice before the loop moves on. The
+    /// lane dimension is cut into 64-wide blocks and one remainder block
+    /// of `16 * ceil((n % 64) / 16)` lanes; tile and dispatch boundaries
+    /// are 64-aligned, so they never split a block. Explicit narrower
+    /// lane widths take the legacy gather loop over the contiguous
+    /// vectors (cascading down to 8-lane blocks and a scalar tail), which
+    /// keeps the equivalence suites exercising both layouts against each
+    /// other.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn compute_rect_compact_body(
         &self,
         bcast: &Csr,
-        vecs: &[u8],
-        panel: &[u8],
+        lanes: &[u8],
         k: usize,
         n: usize,
         frame: Frame,
@@ -861,12 +844,8 @@ impl MacKernel {
             let (s, e) = (bcast.row_ptr[i] as usize, bcast.row_ptr[i + 1] as usize);
             (&bcast.idx[s..e], &bcast.code[s..e])
         };
-        let scalar = |ids: &[u32], cods: &[u8], i: usize, j: usize| {
-            let mut rng = SplitMix64::new(frame.seed(self.seed, i, j));
-            let acc = self.dot_compact(ids, cods, &vecs[j * k..(j + 1) * k], &mut rng);
-            self.decode[acc as usize]
-        };
         if self.lanes != LANES {
+            let vecs = lanes;
             for (ri, out_row) in block.chunks_mut(w).enumerate() {
                 let i = rows.start + ri;
                 let (ids, cods) = row_of(i);
@@ -893,29 +872,19 @@ impl MacKernel {
                     _ => {}
                 }
                 while j < cols.end {
-                    out_row[j - cols.start] = scalar(ids, cods, i, j);
+                    let mut rng = SplitMix64::new(frame.seed(self.seed, i, j));
+                    let acc = self.dot_compact(ids, cods, &vecs[j * k..(j + 1) * k], &mut rng);
+                    out_row[j - cols.start] = self.decode[acc as usize];
                     j += 1;
                 }
             }
             return;
         }
-        if n < LANES {
-            // One zero-padded 64-lane block (the grid never splits a lane
-            // dimension this short): padding lanes hold the +0 code, draw
-            // no word, and their outputs are dropped by `panel_block`.
-            for (ri, out_row) in block.chunks_mut(w).enumerate() {
-                let i = rows.start + ri;
-                let (ids, cods) = row_of(i);
-                self.panel_block::<64>(ids, cods, panel, |l| frame.seed(self.seed, i, l), out_row);
-            }
-            return;
-        }
-        // The tiled panel loop. Lane-region boundaries of the panel:
-        // 64-wide blocks cover [0, n64), 8-wide blocks [n64, n8), and the
-        // scalar tail [n8, n) reads the contiguous vectors directly.
-        let n64 = n - n % 64;
-        let n8 = n64 + ((n - n64) & !7usize);
-        let ct = self.tiles.col_tile.max(64);
+        // The tiled panel loop: 64-wide blocks cover [0, n64), the
+        // remainder block [n64, n) (see `build_panel`).
+        let n64 = n - n % LANES;
+        let rem = (n - n64).next_multiple_of(16);
+        let ct = self.tiles.col_tile.max(LANES);
         let mut c0 = cols.start;
         while c0 < cols.end {
             let c1 = cols.end.min(c0 + ct);
@@ -923,25 +892,28 @@ impl MacKernel {
                 let i = rows.start + ri;
                 let (ids, cods) = row_of(i);
                 let mut j = c0;
-                let lim64 = c1.min(n64);
-                while j + 64 <= lim64 {
-                    let pan = &panel[j * k..(j + 64) * k];
-                    let o = j - cols.start;
-                    let seed_of = |l| frame.seed(self.seed, i, j + l);
-                    self.panel_block::<64>(ids, cods, pan, seed_of, &mut out_row[o..o + 64]);
-                    j += 64;
-                }
-                let lim8 = c1.min(n8);
-                while j >= n64 && j + 8 <= lim8 {
-                    let pan = &panel[j * k..(j + 8) * k];
-                    let o = j - cols.start;
-                    let seed_of = |l| frame.seed(self.seed, i, j + l);
-                    self.panel_block::<8>(ids, cods, pan, seed_of, &mut out_row[o..o + 8]);
-                    j += 8;
-                }
                 while j < c1 {
-                    out_row[j - cols.start] = scalar(ids, cods, i, j);
-                    j += 1;
+                    let width = if j < n64 { LANES } else { rem };
+                    let pan = &lanes[j * k..(j + width) * k];
+                    let out = &mut out_row[j - cols.start..c1.min(j + width) - cols.start];
+                    macro_rules! block {
+                        ($w:literal) => {
+                            self.panel_block::<$w>(
+                                ids,
+                                cods,
+                                pan,
+                                &std::array::from_fn(|l| frame.seed(self.seed, i, j + l)),
+                                out,
+                            )
+                        };
+                    }
+                    match width {
+                        64 => block!(64),
+                        48 => block!(48),
+                        32 => block!(32),
+                        _ => block!(16),
+                    }
+                    j += width;
                 }
             }
             c0 = c1;
@@ -1013,13 +985,14 @@ struct Csr {
 }
 
 impl Csr {
-    fn build(codes: &[u8], k: usize, mag_mask: u8) -> Self {
-        let mut row_ptr = Vec::with_capacity(codes.len() / k.max(1) + 1);
+    /// Compacts `len` contiguous length-`k` code vectors.
+    fn build(codes: &[u8], k: usize, len: usize, mag_mask: u8) -> Self {
+        let mut row_ptr = Vec::with_capacity(len + 1);
         row_ptr.push(0u32);
         let mut idx = Vec::with_capacity(codes.len());
         let mut code = Vec::with_capacity(codes.len());
-        for v in codes.chunks(k.max(1)) {
-            for (c, &cd) in v.iter().enumerate() {
+        for v in 0..len {
+            for (c, &cd) in codes[v * k..(v + 1) * k].iter().enumerate() {
                 if cd & mag_mask != 0 {
                     idx.push(c as u32);
                     code.push(cd);
@@ -1032,80 +1005,103 @@ impl Csr {
     }
 }
 
-/// [`PackedOperand`] payload of either side: `len` code vectors of `k`
-/// codes each, stored contiguously — A's rows (A row-major) or B's
-/// columns (B column-major) — so the two operands look alike to the
-/// kernel whichever of them a product's orientation broadcasts. The
-/// kernel layouts are built lazily, each at most once, by the first
-/// product that needs it: a cached weight pays once per layout.
+/// [`PackedOperand`] payload of either side: the quantized codes in the
+/// operand's own row-major order, as `len` code vectors of `k` codes
+/// each — A's rows (contiguous) or B's columns (strided by `len` in B's
+/// `k x len` rows). Packing only quantizes; the kernel layouts are built
+/// lazily, each at most once, by the first product that needs it, so a
+/// cached weight pays once per layout.
 #[derive(Debug)]
 struct MacPacked {
     codes: Arc<Vec<u8>>,
     k: usize,
+    len: usize,
+    /// Whether the vectors are strided (B) rather than contiguous (A).
+    strided: bool,
     /// Whether any code is a NaN: a NaN lane operand forbids skipping the
     /// broadcast operand's zeros (`0 * NaN = NaN`).
     has_nan: bool,
     csr: OnceLock<Arc<Csr>>,
     panel: OnceLock<Arc<Vec<u8>>>,
+    /// B's vectors made contiguous (column-major B), for broadcasting
+    /// B, the NaN dense fallback and the narrow-lane gather loop.
+    columns: OnceLock<Arc<Vec<u8>>>,
     fingerprint: u64,
 }
 
 impl MacPacked {
+    /// The code vectors, each contiguous.
+    fn vecs(&self) -> Arc<Vec<u8>> {
+        if !self.strided {
+            return Arc::clone(&self.codes);
+        }
+        Arc::clone(self.columns.get_or_init(|| {
+            let mut cols = vec![0u8; self.codes.len()];
+            for (ci, row) in self.codes.chunks_exact(self.len.max(1)).enumerate() {
+                for (v, &cd) in row.iter().enumerate() {
+                    cols[v * self.k + ci] = cd;
+                }
+            }
+            Arc::new(cols)
+        }))
+    }
+
     /// The zero-skipping compaction, for broadcasting this operand.
     fn csr(&self, mag_mask: u8) -> Arc<Csr> {
         Arc::clone(
             self.csr
-                .get_or_init(|| Arc::new(Csr::build(&self.codes, self.k, mag_mask))),
+                .get_or_init(|| Arc::new(Csr::build(&self.vecs(), self.k, self.len, mag_mask))),
         )
     }
 
     /// The lane-interleaved panel, for running this operand in the lanes.
     fn panel(&self, zero_code: u8) -> Arc<Vec<u8>> {
-        Arc::clone(
-            self.panel
-                .get_or_init(|| Arc::new(build_panel(&self.codes, self.k, zero_code))),
-        )
+        Arc::clone(self.panel.get_or_init(|| {
+            Arc::new(build_panel(
+                &self.codes,
+                self.k,
+                self.len,
+                self.strided,
+                zero_code,
+            ))
+        }))
     }
 }
 
-/// Builds the lane-interleaved panel of `len` contiguous length-`k` code
-/// vectors (`len = codes.len() / k`):
+/// Builds the lane-interleaved panel of `len` length-`k` code vectors —
+/// contiguous (`codes[v * k + ci]`) or, when `strided`, the columns of
+/// row-major `k x len` codes (`codes[ci * len + v]`).
 ///
-/// - `len < 64`: one 64-wide block, vector `l` at `ci*64 + l`, lanes
-///   `len..64` padded with the `+0` code `zero`;
-/// - otherwise bytes `[0, n64 * k)` hold 64-wide blocks; block `b`
-///   (vectors `64b .. 64b + 64`) stores code `(ci, l)` at
-///   `b*64*k + ci*64 + l`, so a k-step loads its 64 lane codes as one
-///   contiguous line; bytes `[n64 * k, n8 * k)` hold 8-wide blocks
-///   covering the next `(len - n64) & !7` vectors, laid out the same way
-///   at stride 8; the ragged tail (`len - n8 < 8` vectors) has no panel
-///   entry — the scalar loop reads the vectors directly.
-///
-/// `n64 = len - len % 64`. Tile and dispatch boundaries are multiples of
-/// 64, so no block ever straddles a job boundary.
-fn build_panel(codes: &[u8], k: usize, zero: u8) -> Vec<u8> {
-    let len = codes.len().checked_div(k).unwrap_or(0);
-    let interleave = |panel: &mut [u8], dst0: usize, v0: usize, width: usize, real: usize| {
-        for l in 0..real {
-            let v = &codes[(v0 + l) * k..(v0 + l + 1) * k];
-            for (ci, &cd) in v.iter().enumerate() {
-                panel[dst0 + ci * width + l] = cd;
+/// Vectors are cut into blocks of 64, then one remainder block of
+/// `16 * ceil((len % 64) / 16)` lanes. A block of width `w` starting at
+/// vector `v0` occupies bytes `[v0 * k, (v0 + w) * k)` and stores code
+/// `(ci, l)` at `v0 * k + ci * w + l`, so a k-step loads its lane codes
+/// as one contiguous line; the remainder block's lanes past `len` hold
+/// the `+0` code `zero`, which never draws a word. Tile and dispatch
+/// boundaries are multiples of 64, so no block ever straddles a job
+/// boundary. For strided codes each block row is one copy out of a row
+/// of the operand — no transpose.
+fn build_panel(codes: &[u8], k: usize, len: usize, strided: bool, zero: u8) -> Vec<u8> {
+    let n64 = len - len % LANES;
+    let mut panel = vec![zero; (n64 + (len - n64).next_multiple_of(16)) * k];
+    let mut v0 = 0;
+    while v0 < len {
+        let width = (len - v0).min(LANES).next_multiple_of(16);
+        let real = width.min(len - v0);
+        let block = &mut panel[v0 * k..(v0 + width) * k];
+        if strided {
+            for (ci, dst) in block.chunks_exact_mut(width).enumerate() {
+                dst[..real].copy_from_slice(&codes[ci * len + v0..ci * len + v0 + real]);
+            }
+        } else {
+            for l in 0..real {
+                let v = &codes[(v0 + l) * k..(v0 + l + 1) * k];
+                for (ci, &cd) in v.iter().enumerate() {
+                    block[ci * width + l] = cd;
+                }
             }
         }
-    };
-    if len < LANES {
-        let mut panel = vec![zero; LANES * k];
-        interleave(&mut panel, 0, 0, LANES, len);
-        return panel;
-    }
-    let n64 = len - len % 64;
-    let n8 = n64 + ((len - n64) & !7usize);
-    let mut panel = vec![0u8; n8 * k];
-    for b in 0..n64 / 64 {
-        interleave(&mut panel, b * 64 * k, b * 64, 64, 64);
-    }
-    for t in 0..(n8 - n64) / 8 {
-        interleave(&mut panel, n64 * k + t * 8 * k, n64 + t * 8, 8, 8);
+        v0 += width;
     }
     panel
 }
@@ -1116,11 +1112,11 @@ enum Work {
     /// The NaN fallback in C's own frame: dense A rows against B columns.
     Dense { a: Arc<Vec<u8>>, b: Arc<Vec<u8>> },
     /// The compacted lane kernel in an oriented frame (see
-    /// [`MacKernel::compute_rect_compact`]).
+    /// [`MacKernel::compute_rect_compact`]): `lanes` is the lane
+    /// operand's panel, or its contiguous vectors below 64 lanes.
     Compact {
         bcast: Arc<Csr>,
-        vecs: Arc<Vec<u8>>,
-        panel: Arc<Vec<u8>>,
+        lanes: Arc<Vec<u8>>,
     },
 }
 
@@ -1141,8 +1137,8 @@ impl Work {
             Work::Dense { a, b } => {
                 kernel.compute_rect_dense(a, b, k, frame.row_base, rows, cols, block);
             }
-            Work::Compact { bcast, vecs, panel } => {
-                kernel.compute_rect_compact(bcast, vecs, panel, k, n, frame, rows, cols, block);
+            Work::Compact { bcast, lanes } => {
+                kernel.compute_rect_compact(bcast, lanes, k, n, frame, rows, cols, block);
             }
         }
     }
@@ -1256,9 +1252,10 @@ impl MacGemm {
 
     /// Sets the lane width of the batched compacted path (default
     /// `LANES` = 64, the only width that orients its lanes along the
-    /// longer output dimension; narrower widths keep the lanes along C's
-    /// columns and cascade down to 8-lane blocks before the scalar tail,
-    /// so `lanes = 1` is the scalar reference). Results are bitwise
+    /// longer output dimension and runs the panel kernel; narrower widths
+    /// keep the lanes along C's columns and run the legacy gather loop,
+    /// cascading down to 8-lane blocks before a scalar tail, so
+    /// `lanes = 1` is the scalar reference). Results are bitwise
     /// identical at every width — the knob exists for equivalence tests
     /// and benchmarks, not for tuning correctness.
     ///
@@ -1377,9 +1374,10 @@ impl MacGemm {
         srmac_fp::mask(self.config.mul_fmt.bits() - 1) as u8
     }
 
-    /// Wraps contiguous length-`k` code vectors into a packed payload,
-    /// flagging NaN codes (any magnitude above infinity's).
-    fn packed(&self, codes: Vec<u8>, k: usize) -> MacPacked {
+    /// Wraps `len` length-`k` code vectors (see [`MacPacked`]) into a
+    /// packed payload, flagging NaN codes (any magnitude above
+    /// infinity's).
+    fn packed(&self, codes: Vec<u8>, k: usize, len: usize, strided: bool) -> MacPacked {
         let fmt = self.config.mul_fmt;
         let mag_mask = self.mag_mask();
         let inf_mag = (fmt.inf_bits(false) & srmac_fp::mask(fmt.bits() - 1)) as u8;
@@ -1387,8 +1385,11 @@ impl MacGemm {
             has_nan: codes.iter().any(|&cd| (cd & mag_mask) > inf_mag),
             codes: Arc::new(codes),
             k,
+            len,
+            strided,
             csr: OnceLock::new(),
             panel: OnceLock::new(),
+            columns: OnceLock::new(),
             fingerprint: self.fingerprint(),
         }
     }
@@ -1515,26 +1516,16 @@ impl GemmEngine for MacGemm {
         // Row-major codes are already A's contiguous row vectors.
         let mut codes = vec![0u8; a.len()];
         self.quant.quantize_block(a, &mut codes);
-        let payload = self.packed(codes, cols);
+        let payload = self.packed(codes, cols, rows, false);
         PackedOperand::new(PackSide::A, rows, cols, Box::new(payload))
     }
 
     fn pack_b(&self, rows: usize, cols: usize, b: &[f32]) -> PackedOperand {
         assert_eq!(b.len(), rows * cols, "B must be rows x cols");
-        // Block-quantize into reusable scratch (16 values per instruction
-        // on AVX-512), then scatter to column-major slots: B's contiguous
-        // column vectors.
-        let mut codes = self.take_codes_buf();
-        codes.resize(b.len(), 0);
+        // Row-major codes: B's column vectors, strided by `cols`.
+        let mut codes = vec![0u8; b.len()];
         self.quant.quantize_block(b, &mut codes);
-        let mut codes_t = vec![self.zero_code; rows * cols];
-        for (l, row) in codes.chunks(cols.max(1)).enumerate() {
-            for (j, &cd) in row.iter().enumerate() {
-                codes_t[j * rows + l] = cd;
-            }
-        }
-        self.recycle_codes_buf(codes);
-        let payload = self.packed(codes_t, rows);
+        let payload = self.packed(codes, rows, cols, true);
         PackedOperand::new(PackSide::B, rows, cols, Box::new(payload))
     }
 
@@ -1562,31 +1553,34 @@ impl GemmEngine for MacGemm {
         if transposed {
             let work = Work::Compact {
                 bcast: b.csr(mag_mask),
-                vecs: Arc::clone(&a.codes),
-                panel: a.panel(self.zero_code),
+                lanes: a.panel(self.zero_code),
             };
             let mut ct = vec![0.0f32; n * m];
             self.gemm_frame(n, k, m, work, frame, &mut ct);
-            for (j, col) in ct.chunks_exact(m.max(1)).enumerate() {
-                for (i, &v) in col.iter().enumerate() {
-                    out[i * n + j] = v;
+            // C^T -> C a band of C's rows at a time, so the stride-`n`
+            // writes stay in L1.
+            for i0 in (0..m).step_by(64) {
+                let i1 = m.min(i0 + 64);
+                for (j, col) in ct.chunks_exact(m).enumerate() {
+                    for (i, &v) in (i0..i1).zip(&col[i0..i1]) {
+                        out[i * n + j] = v;
+                    }
                 }
             }
             return;
         }
         let work = if b.has_nan {
             Work::Dense {
-                a: Arc::clone(&a.codes),
-                b: Arc::clone(&b.codes),
+                a: a.vecs(),
+                b: b.vecs(),
             }
         } else {
             Work::Compact {
                 bcast: a.csr(mag_mask),
-                vecs: Arc::clone(&b.codes),
-                panel: if self.kernel.lanes == LANES {
+                lanes: if self.kernel.lanes == LANES {
                     b.panel(self.zero_code)
                 } else {
-                    Arc::default()
+                    b.vecs()
                 },
             }
         };
@@ -1792,9 +1786,9 @@ mod tests {
         let mut a = rand_vec(m * k, 92, 2.0);
         for v in a.iter_mut() {
             if rng.next_f64() < 0.6 {
-                // Mix positive and negative zeros: the lazily rebuilt dense
-                // codes canonicalize skipped entries to +0, which must not
-                // change any result (see MacPackedA::dense_codes).
+                // Mix positive and negative zeros: the compaction skips
+                // both signs, the dense reference multiplies them, and the
+                // two must still agree bit for bit.
                 *v = if rng.next_f64() < 0.5 { 0.0 } else { -0.0 };
             }
         }
@@ -1828,6 +1822,125 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The scalar `lanes = 1` reference of `gemm(m, k, n, a, b)`.
+    fn scalar_reference(
+        cfg: MacGemmConfig,
+        shape: (usize, usize, usize),
+        a: &[f32],
+        b: &[f32],
+    ) -> Vec<f32> {
+        let (m, k, n) = shape;
+        let mut out = vec![0.0f32; m * n];
+        MacGemm::new(cfg.with_threads(1))
+            .with_lane_width(1)
+            .gemm(m, k, n, a, b, &mut out);
+        out
+    }
+
+    fn assert_bits_eq(want: &[f32], got: &[f32], what: &str) {
+        let same = want.len() == got.len()
+            && want
+                .iter()
+                .zip(got)
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+        assert!(same, "{what}: output bits changed");
+    }
+
+    #[test]
+    fn every_tier_runs_every_remainder_width() {
+        // `SimdTier::detect` fixes one tier per process, so on an AVX-512
+        // host the portable (and AVX2) codegen of the panel loop never
+        // runs otherwise. Force each tier the host supports onto a kernel
+        // and pin the 16/32/48/64-lane blocks — narrow and wide LUT, both
+        // frames — to the scalar reference.
+        let mut tiers = vec![SimdTier::Portable];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            tiers.push(SimdTier::Avx2);
+        }
+        // Lane dimensions 17, 33, 48 and 80 (remainders of 32, 48, 48 and
+        // 16 lanes), in both frames.
+        let shapes = [(4, 30, 17), (6, 20, 33), (48, 9, 5), (80, 11, 3)];
+        for rounding in [AccumRounding::Stochastic { r: 13 }, AccumRounding::Nearest] {
+            let cfg = MacGemmConfig::fp8_fp12(rounding, false).with_threads(1);
+            for (m, k, n) in shapes {
+                let a = rand_vec(m * k, 500 + m as u64, 2.0);
+                let b = rand_vec(k * n, 600 + n as u64, 2.0);
+                let want = scalar_reference(cfg, (m, k, n), &a, &b);
+                for &tier in &tiers {
+                    for pair_lut in [true, false] {
+                        let mut engine = MacGemm::new(cfg).with_pair_lut(pair_lut);
+                        Arc::make_mut(&mut engine.kernel).tier = tier;
+                        let mut out = vec![0.0f32; m * n];
+                        engine.gemm(m, k, n, &a, &b, &mut out);
+                        assert_bits_eq(
+                            &want,
+                            &out,
+                            &format!("{rounding:?} {m}x{k}x{n} {tier:?} pair_lut={pair_lut}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_packed_b_serves_both_frames() {
+        // B packs once into row-major codes. A product with m <= n puts
+        // B in the lanes (its panel is a strided copy of those codes, and
+        // no column vector is built); one with m > n broadcasts B through
+        // the lazily built column vectors. Either order, both products
+        // must match the scalar reference — also with a NaN in B, which
+        // takes the dense fallback when B fills the lanes.
+        let cfg = MacGemmConfig::fp8_fp12(AccumRounding::Stochastic { r: 13 }, false);
+        let engine = MacGemm::new(cfg.with_threads(1));
+        let (k, n) = (21, 37);
+        for nan_in_b in [false, true] {
+            let mut b = rand_vec(k * n, 71, 2.0);
+            if nan_in_b {
+                b[5 * n + 3] = f32::NAN;
+            }
+            for lanes_first in [true, false] {
+                let pb = engine.pack_b(k, n, &b);
+                let payload = engine.unpack(&pb, PackSide::B, k, n);
+                let mut order = [9usize, 70];
+                if !lanes_first {
+                    order.reverse();
+                }
+                for m in order {
+                    let a = rand_vec(m * k, 72 + m as u64, 2.0);
+                    let pa = engine.pack_a(m, k, &a);
+                    let mut out = vec![0.0f32; m * n];
+                    engine.gemm_packed(m, k, n, &pa, &pb, &mut out);
+                    let what = format!("nan_in_b={nan_in_b} {m}x{k}x{n}");
+                    assert_bits_eq(&scalar_reference(cfg, (m, k, n), &a, &b), &out, &what);
+                    if nan_in_b {
+                        assert!(out.iter().any(|v| v.is_nan()), "{what}: NaN lost");
+                    }
+                }
+                // Broadcasting built the column vectors; B in the lanes
+                // built the panel only when B is NaN-free.
+                assert!(payload.columns.get().is_some());
+                assert_eq!(payload.panel.get().is_some(), !nan_in_b);
+            }
+            let pb = engine.pack_b(k, n, &b);
+            let mut out = vec![0.0f32; 9 * n];
+            engine.gemm_packed(
+                9,
+                k,
+                n,
+                &engine.pack_a(9, k, &rand_vec(9 * k, 81, 2.0)),
+                &pb,
+                &mut out,
+            );
+            let payload = engine.unpack(&pb, PackSide::B, k, n);
+            assert!(
+                payload.columns.get().is_none() || nan_in_b,
+                "B in the lanes must not transpose"
+            );
         }
     }
 

@@ -20,9 +20,11 @@
 //! [`srmac_tensor::GemmEngine`] trait:
 //!
 //! 1. **Pack** (`pack_a` / `pack_b`): quantize the `f32` operand to
-//!    multiplier-format codes — and, for the B side, materialize the
-//!    column-major transpose so each dot product walks both operands
-//!    contiguously. Packing is a pure function of the operand values and
+//!    row-major multiplier-format codes — nothing more; neither side is
+//!    transposed. The layouts the kernel reads (the lane panel, the
+//!    zero-skipping compaction, and B's contiguous columns) are built
+//!    from these codes lazily, at most once per operand, by the first
+//!    product that needs each one. Packing is a pure function of the operand values and
 //!    the *multiplier* format alone; the accumulator format, rounding
 //!    mode, seed and thread count play no part. A packed operand is
 //!    therefore reusable across any number of products and even across
@@ -58,9 +60,13 @@
 //!
 //! # Lane-batched accumulation (the SWAR/SIMD hot path)
 //!
-//! The compacted accumulation loop advances `L` output **columns** of one
-//! output row per step through [`FastAdderBatch`] (default `L = 64`, in
-//! cascaded blocks with a scalar tail for `n % L` columns). Each lane is
+//! The compacted accumulation loop advances a block of up to `L = 64`
+//! output elements along the lane dimension of one oriented output row
+//! per step through [`FastAdderBatch`] (the lanes run along the longer
+//! of C's two dimensions; see below). The lane dimension is cut into
+//! 64-lane blocks and one remainder block of 16, 32, 48 or 64 lanes, padded
+//! with `+0` codes only up to the next multiple of 16: there is no
+//! 8-lane block and no scalar tail. Each lane is
 //! one element's accumulator, carried in a *decoded* `u64` lane word
 //! (sign / ULP exponent / significand as plain fields — see `batch.rs`),
 //! fed with pre-decoded products from a 512 KiB [`DecodedLut`], and
@@ -70,14 +76,17 @@
 //! codegen without any workspace-wide compiler flags, and an explicit
 //! `std::arch` rendition exists behind the opt-in `arch-simd` feature.
 //!
-//! Column-lane batching preserves the determinism contract *by
+//! Lane batching preserves the determinism contract *by
 //! construction*: SR streams are position-seeded per output element, so
-//! computing eight elements side by side reorders nothing **within** any
+//! computing many elements side by side reorders nothing **within** any
 //! element — its adds stay in `k` order and its stream (an
 //! [`srmac_rng::SrLaneStreams`] lane, bit-equal to the scalar
 //! `SplitMix64` stream) is consumed on exactly the same products. Lane
 //! width is therefore invisible in the bits: `L` = 1, 4, 8, 16, 32 and 64
-//! produce identical output (asserted in `tests/lane_batch.rs`, with the
+//! produce identical output (the explicit narrow widths run a legacy
+//! gather loop in C's own frame and cascade to 8-lane blocks and a
+//! scalar tail, so `L = 1` is the scalar reference; asserted in
+//! `tests/lane_batch.rs`, with the
 //! operand-level exhaustive equivalence in `batch.rs`), and the golden
 //! training histories did not move when the default width changed.
 //!
@@ -87,7 +96,7 @@
 //! the longer output dimension: when `m > n` it computes `C^T = B^T A^T`
 //! with the same kernels, so a tall product with few output channels
 //! still fills 64-lane blocks (a lane dimension below 64 runs as one
-//! zero-padded block). In that oriented frame it executes a
+//! 16/32/48/64-lane remainder block). In that oriented frame it executes a
 //! cache-blocked tile grid ([`TileConfig`], runtime-tunable through
 //! [`MacGemm::with_tiles`]): the output plane is cut into
 //! `row_tile x col_tile` rectangles, each rectangle walks one
@@ -103,16 +112,21 @@
 //!
 //! * **Quantize+pack fusion** — `pack_a`/`pack_b` quantize straight
 //!   into their code buffers (a vectorized block quantizer under
-//!   AVX-512; B transposes from recycled scratch), and each operand's
-//!   compaction and lane panel are built lazily, once, by the first
-//!   product whose orientation needs them.
+//!   AVX-512), and each operand's compaction and lane panel are built
+//!   lazily, once, by the first product whose orientation needs them. A
+//!   B panel is a strided copy of B's row-major codes (its lanes are
+//!   already B's columns), so the layer that fills the lanes most —
+//!   weight gradients over im2row rows — is never transposed.
 //! * **Product-pair decode LUT** — when the accumulator algebra fits the
 //!   *narrow* u32 lane word (`ef_max + p + 2 <= 29` with the `LANE32_*`
 //!   layout, true for the paper's E6M5 family), a 256 KiB [`PairLut`]
 //!   maps each `(code_a, code_b)` pair directly to the pre-decoded
 //!   product word, and the inner loop runs a fully vectorized
-//!   AVX-512 chain over u32 lanes — no per-step decode, no u64
-//!   widening. Formats outside the envelope (or
+//!   AVX-512 kernel of one to four interleaved 16-lane u32 chains per
+//!   block — no per-step decode, no u64 widening; the lane seeds are
+//!   derived and the accumulators encoded and decoded to `f32` with
+//!   vector code too, which matters for the short-`k` data-gradient
+//!   products. Formats outside the envelope (or
 //!   [`MacGemm::with_pair_lut`]`(false)`) fall back to the wide u64
 //!   path; both paths are bit-identical by construction and by test.
 //!

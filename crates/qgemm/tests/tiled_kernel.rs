@@ -3,8 +3,8 @@
 //! product-pair LUT must all be pure performance transforms. Every tile
 //! shape x thread count combination reproduces the lanes=1/threads=1
 //! scalar reference bit-for-bit — on wide shapes (lanes along `n`), tall
-//! ones (lanes along `m`, computing `C^T = B^T A^T`) and lane dimensions
-//! below 64 (one zero-padded block) — the pair LUT changes nothing when
+//! ones (lanes along `m`, computing `C^T = B^T A^T`) and every width of
+//! the 16/32/48/64-lane remainder block in both frames — the pair LUT changes nothing when
 //! toggled, and formats outside the narrow envelope (which silently fall
 //! back to the wide u64 kernel) obey the same invariances.
 //!
@@ -42,20 +42,51 @@ fn relu_sparse_vec(n: usize, seed: u64, sparsity: f64) -> Vec<f32> {
         .collect()
 }
 
-const SHAPES: [(usize, usize, usize); 4] = [(5, 33, 67), (17, 40, 130), (3, 57, 8), (9, 48, 200)];
+/// Wide shapes (`n >= m`, lanes along `n`). The lane dimension is cut
+/// into 64-lane blocks and one remainder block of `16 * ceil(r / 16)`
+/// lanes for `r = n % 64`; the lane dimensions 1, 8, 16, 33, 48, 63, 67,
+/// 80, 130 and 200 give every remainder width (16/32/48/64 lanes, i.e.
+/// one to four chains, padded and exact) behind zero, one, two and three
+/// full blocks.
+const SHAPES: [(usize, usize, usize); 10] = [
+    (5, 33, 67),
+    (17, 40, 130),
+    (3, 57, 8),
+    (9, 48, 200),
+    (1, 9, 1),
+    (16, 24, 16),
+    (6, 31, 33),
+    (3, 20, 48),
+    (2, 50, 63),
+    (5, 12, 80),
+];
 
 /// Shapes whose lane orientation or padding differs from the wide
-/// shapes above: tall products that run transposed (lane dimensions
-/// 130 = 64 + 64 + scalar tail, 200 = 3 x 64 + an 8-lane block, exactly
-/// 64, and 129 = 64 + 64 + a one-lane tail) and a wide one whose lane
-/// dimension of 36 runs as one padded 64-lane block. `(130, 36, 4)` is
-/// the shape class of a ResNet-20 w4 stage-1 forward convolution.
-const ORIENTED_SHAPES: [(usize, usize, usize); 5] = [
+/// shapes above: tall products that run transposed (`m > n`, lanes along
+/// `m`: lane dimensions 16, 17, 33, 48, 63, 64, 80, 113, 129, 130, 150
+/// and 200, so every remainder width runs in this frame too), wide ones
+/// with lane dimensions 17, 36 and 113, and the `(144, 16, 144)` tie,
+/// which keeps the lanes along `n` (144 = 2 x 64 + 16). `(130, 36, 4)` is
+/// the shape class of a ResNet-20 w4 stage-1 forward convolution,
+/// `(4, 300, 17)` of a conv0 weight gradient.
+const ORIENTED_SHAPES: [(usize, usize, usize); 17] = [
     (130, 36, 4),
     (200, 8, 36),
     (4, 300, 36),
     (64, 16, 10),
     (129, 5, 72),
+    (4, 300, 17),
+    (150, 9, 48),
+    (144, 16, 144),
+    (4, 200, 113),
+    (16, 9, 3),
+    (17, 6, 16),
+    (33, 12, 2),
+    (48, 7, 5),
+    (63, 4, 1),
+    (80, 7, 3),
+    (113, 11, 5),
+    (200, 3, 113),
 ];
 
 const TILES: [TileConfig; 4] = [
